@@ -2,21 +2,21 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 )
 
-// Engine is the reusable high-throughput core behind Simulate. All
-// per-run state lives in flat, densely indexed slices that are grown
-// once and reused across runs, so a warm Engine performs no per-step
-// (and almost no per-run) allocation:
+// Engine is the reusable high-throughput core behind every simulate
+// entry point. All per-run state lives in flat, densely indexed slices
+// that are grown once and reused across runs, so a warm Engine performs
+// no per-step (and almost no per-run) allocation:
 //
 //   - A numbering pass over the message routes assigns each distinct
 //     directed link a contiguous id, so per-link state is slice lookups
 //     instead of map operations. The pass is generation-stamped: reuse
 //     needs no clearing.
 //   - Per-link FIFO queues are intrusive singly-linked lists threaded
-//     through a flat next-pointer array indexed by route position.
+//     through a flat next-pointer array indexed by arena position.
 //   - An active-link worklist holds exactly the links with at least one
 //     immediately sendable flit (tracked by a per-link credit counter),
 //     so each step touches only links that can move a flit — idle links
@@ -39,19 +39,10 @@ type Engine struct {
 	denseOf  []int32
 	sparse   map[int]int32
 
-	// Per-position state, flat across all messages' route hops.
-	// Position p of message i is off[i] + hop.
-	route   []int32 // dense link id crossed at this position
-	posMsg  []int32 // owning message
-	arrived []int   // flits available at the tail of this link
-	crossed []int   // flits that have crossed this link
-	buffer  []int   // store-and-forward: flits pending full buffering
-	queued  []bool  // position currently sits in its link's queue
-	qnext   []int32 // intrusive FIFO next pointer
-
-	// Per-message state.
-	off   []int32
-	flits []int
+	// Template numbering: position p of template i is off[i] + hop.
+	route  []int32 // dense link id crossed at this position
+	posMsg []int32 // owning template
+	off    []int32
 
 	// Per-link state.
 	qhead  []int32
@@ -66,40 +57,41 @@ type Engine struct {
 	arrivals []int32
 	enq      []int32
 
-	// Fault-path scratch (SimulateFaults): dense link id → external
-	// id for fault queries and blame, per-message dead flags, the
-	// kill batch collected per down link, and the per-step batch of
-	// permanently-down links whose kills are deferred to the end of
-	// the transfer phase (see SimulateFaults).
+	// Fault scratch: dense link id → external id for fault queries and
+	// blame, the kill batch collected per down link, and the per-step
+	// batch of permanently-down links whose kills are deferred to the
+	// end of the transfer phase.
 	ext  []int
-	dead []bool
 	kill []int32
 	down []int32
 
-	// Open-loop slot arena (SimulateOpenLoop). Messages are numbered as
-	// route *templates*; each injected arrival occupies a slot whose
-	// position range is recycled through a per-template free list, so
-	// state is proportional to the in-flight window, not the injected
-	// total. These arrays grow by append (the generic grow() does not
-	// preserve contents) and are truncated, not cleared, between runs.
+	// Slot arena. Messages are numbered as route *templates*; each
+	// injected arrival occupies a slot whose position range is recycled
+	// through a per-template free list, so state is proportional to the
+	// in-flight window, not the injected total. These arrays grow by
+	// append during a run (the generic grow() does not preserve
+	// contents; only olBurst, which fills an empty arena, uses it) and
+	// are truncated, not cleared, between runs.
 	olSlotTmpl []int32   // slot → template index
-	olSlotOff  []int32   // slot → first position in the ol arrays
+	olSlotOff  []int32   // slot → first position in the arena arrays
+	olSlotEnd  []int32   // slot → one past its last position
 	olSlotMsg  []int32   // slot → trace message id (-1 when free)
 	olSlotArr  []int     // slot → arrival step of the current occupant
-	olSlotFl   []int     // slot → flits (fixed per template)
+	olSlotFl   []int32   // slot → flits (fixed per template)
 	olSlotDead []bool    // slot → killed this step, freed at step end
 	olFree     [][]int32 // template → free slot ids
 	olKilled   []int32   // per-step batch of slots killed by faults
-	olRoute    []int32   // position → dense link id (copied from template)
+	olRoute    []int32   // position → dense link id (the template's route)
 	olPosSlot  []int32   // position → owning slot
-	olArrived  []int     // per-position state, as in the closed-loop arrays
-	olCrossed  []int
-	olBuffer   []int
-	olQueued   []bool
-	olQNext    []int32
+	olArrived  []int32   // position → flits available at the tail of its link
+	olCrossed  []int32   // position → flits that have crossed its link
+	olBuffer   []int32   // store-and-forward: flits pending full buffering
+	olQueued   []bool    // position currently sits in its link's queue
+	olQNext    []int32   // intrusive FIFO next pointer
 
-	// Wormhole scratch (SimulateWormhole shares the numbering pass and
-	// the crossed array; the channel-holding state below is its own).
+	// Wormhole scratch (SimulateWormhole shares the numbering pass; the
+	// channel-holding state below is its own).
+	crossed        []int
 	whHead, whTail []int32
 	whDone         []bool
 	whWaitNext     []int32
@@ -149,8 +141,8 @@ type routeShape struct {
 
 // numberAll validates the messages and runs the contiguous
 // link-numbering pass in one scan, returning the run's shape. Every
-// engine path (Simulate, SimulateFaults, simulateWormhole, and the
-// sharded engine) starts here, so flit validation and numbering cannot
+// engine path (the serial and sharded step loops and simulateWormhole)
+// starts here, so flit validation and numbering cannot
 // drift between them. A warm engine performs no allocation in this
 // pass (pinned by TestNumberAllNoAllocs).
 func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
@@ -158,7 +150,7 @@ func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
 	minID, maxID := 0, -1
 	seen := false
 	for i, m := range msgs {
-		if m.Flits < 1 {
+		if m.Flits < 1 || m.Flits > math.MaxInt32 {
 			return sh, fmt.Errorf("netsim: message %d has %d flits", i, m.Flits)
 		}
 		sh.totalFlits += m.Flits
@@ -181,147 +173,15 @@ func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
 }
 
 // Simulate runs the synchronous simulation on this Engine's scratch
-// buffers. Semantics and results are identical to SimulateReference;
-// see the package documentation for the model.
+// buffers: the step loop of SimulateOpenLoop with every message
+// arriving at step 0. Semantics and results are identical to
+// SimulateReference; see the package documentation for the model.
 func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
-	shape, err := e.numberAll(msgs)
+	olr, err := e.openLoop(msgs, nil, OpenLoopOpts{Mode: mode}, closedRun{burst: true})
 	if err != nil {
 		return nil, err
 	}
-	links := shape.links
-	totalFlits, maxRoute := shape.totalFlits, shape.maxRoute
-	e.growState(len(msgs), shape.total, int(links))
-	if e.probe != nil {
-		e.fillExt(msgs, links)
-		e.beginProbe(msgs, links, mode, false)
-	}
-
-	res := &Result{}
-	e.res = res
-	remaining := 0
-	for i, m := range msgs {
-		e.flits[i] = m.Flits
-		p0, p1 := e.off[i], e.off[i+1]
-		if p0 == p1 {
-			continue
-		}
-		e.arrived[p0] = m.Flits
-		remaining++
-		e.enqueue(p0)
-	}
-
-	limit := stepLimit(totalFlits, maxRoute, len(msgs))
-	step := 0
-	for remaining > 0 {
-		step++
-		if step > limit {
-			return nil, fmt.Errorf("netsim: no progress after %d steps", limit)
-		}
-		cur := e.work
-		e.work = e.scratch[:0]
-		arr := e.arrivals[:0]
-		// Transfer phase: only links with sendable flits are visited.
-		for _, l := range cur {
-			if e.credit[l] <= 0 {
-				e.inWork[l] = false
-				continue
-			}
-			prev := int32(-1)
-			p := e.qhead[l]
-			for p >= 0 && e.arrived[p]-e.crossed[p] <= 0 {
-				prev = p
-				p = e.qnext[p]
-			}
-			if p < 0 { // defensive: credit promised a sendable request
-				e.credit[l] = 0
-				e.inWork[l] = false
-				continue
-			}
-			e.crossed[p]++
-			e.credit[l]--
-			res.FlitsMoved++
-			if e.probe != nil {
-				e.probe.FlitMoved(step, e.posMsg[p], l)
-			}
-			arr = append(arr, p)
-			if e.crossed[p] == e.flits[e.posMsg[p]] {
-				nx := e.qnext[p]
-				if prev < 0 {
-					e.qhead[l] = nx
-				} else {
-					e.qnext[prev] = nx
-				}
-				if nx < 0 {
-					e.qtail[l] = prev
-				}
-				e.qlen[l]--
-				e.queued[p] = false
-			}
-			if e.credit[l] > 0 {
-				e.work = append(e.work, l)
-			} else {
-				e.inWork[l] = false
-			}
-		}
-		// Credit arrivals after all transfers resolved so a flit moves
-		// at most one link per step. Credits, deliveries, and the
-		// worklist are order-independent; only the order in which new
-		// requests join a link's FIFO is observable. Each position
-		// arrives at most once per step, so the enqueue set is
-		// duplicate-free — sort just that (typically far smaller than
-		// the arrival batch) into ascending position order, which is
-		// (message id, hop) order: the documented FIFO tie-break.
-		enq := e.enq[:0]
-		for _, p := range arr {
-			mi := e.posMsg[p]
-			next := p + 1
-			if next == e.off[mi+1] {
-				if e.probe != nil {
-					e.probe.FlitDelivered(step, mi)
-				}
-				if e.crossed[p] == e.flits[mi] {
-					remaining--
-					res.DeliveredMsgs++
-					if e.probe != nil {
-						e.probe.MsgDone(step, mi, true)
-					}
-				}
-				continue
-			}
-			switch mode {
-			case CutThrough:
-				e.arrived[next]++
-				if e.queued[next] {
-					e.addCredit(e.route[next], 1)
-				}
-			case StoreAndForward:
-				e.buffer[next]++
-				if e.buffer[next] == e.flits[mi] {
-					e.arrived[next] = e.flits[mi]
-					if e.queued[next] {
-						e.addCredit(e.route[next], e.flits[mi]-e.crossed[next])
-					}
-				}
-			}
-			if !e.queued[next] && e.arrived[next] > 0 {
-				enq = append(enq, next)
-			}
-		}
-		slices.Sort(enq)
-		for _, p := range enq {
-			e.enqueue(p)
-		}
-		e.enq = enq
-		e.arrivals = arr
-		e.scratch = cur[:0]
-		if e.probe != nil {
-			e.probe.StepEnd(step, e.qlen[:links])
-		}
-	}
-	res.Steps = step
-	res.DeliveredMsgs += countEmptyRoutes(msgs)
-	e.res = nil
-	return res, nil
+	return &olr.Result, nil
 }
 
 // number runs the contiguous link-numbering pass, filling off, route,
@@ -330,7 +190,6 @@ func (e *Engine) number(msgs []*Message, total, minID, maxID int) int32 {
 	e.off = grow(e.off, len(msgs)+1)
 	e.route = grow(e.route, total)
 	e.posMsg = grow(e.posMsg, total)
-	e.flits = grow(e.flits, len(msgs))
 
 	useTable := maxID < 0 || (minID >= 0 && maxID < 4*total+1024)
 	if useTable {
@@ -381,20 +240,9 @@ func (e *Engine) number(msgs []*Message, total, minID, maxID int) int32 {
 	return links
 }
 
-// growState sizes and resets the per-position, per-link, and worklist
-// scratch for a run with the given shape.
-func (e *Engine) growState(nMsgs, total, links int) {
-	e.arrived = grow(e.arrived, total)
-	e.crossed = grow(e.crossed, total)
-	e.buffer = grow(e.buffer, total)
-	e.queued = grow(e.queued, total)
-	e.qnext = grow(e.qnext, total)
-	for i := 0; i < total; i++ {
-		e.arrived[i] = 0
-		e.crossed[i] = 0
-		e.buffer[i] = 0
-		e.queued[i] = false
-	}
+// growState sizes and resets the per-link and worklist scratch for a
+// run over the given number of links.
+func (e *Engine) growState(links int) {
 	e.qhead = grow(e.qhead, links)
 	e.qtail = grow(e.qtail, links)
 	e.credit = grow(e.credit, links)
@@ -409,27 +257,6 @@ func (e *Engine) growState(nMsgs, total, links int) {
 	}
 	e.work = e.work[:0]
 	e.scratch = e.scratch[:0]
-}
-
-// enqueue appends position p to its link's FIFO, updates the peak
-// queue metric, and activates the link if p brings sendable flits.
-func (e *Engine) enqueue(p int32) {
-	l := e.route[p]
-	if e.qtail[l] < 0 {
-		e.qhead[l] = p
-	} else {
-		e.qnext[e.qtail[l]] = p
-	}
-	e.qtail[l] = p
-	e.qnext[p] = -1
-	e.queued[p] = true
-	e.qlen[l]++
-	if e.qlen[l] > e.res.MaxLinkQueue {
-		e.res.MaxLinkQueue = e.qlen[l]
-	}
-	if avail := e.arrived[p] - e.crossed[p]; avail > 0 {
-		e.addCredit(l, avail)
-	}
 }
 
 // addCredit records c newly sendable flits on link l, scheduling the

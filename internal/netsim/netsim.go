@@ -22,11 +22,16 @@
 //
 // The simulation core is a dense, worklist-driven Engine: a numbering
 // pass gives links contiguous ids, per-link FIFOs live in flat reusable
-// slices, and each step touches only links that can move a flit.
-// Simulate draws Engines from a sync.Pool; SimulateBatch fans
-// independent simulations out across GOMAXPROCS workers. The original
-// map-scanning simulator is retained as SimulateReference — the golden
-// model for equivalence tests and old-vs-new benchmarks.
+// slices, and each step touches only links that can move a flit. There
+// is one store-and-forward / cut-through step loop per topology — the
+// serial loop of SimulateOpenLoop and the sharded loop of
+// SimulateOpenLoopSharded — and the closed-loop entry points (Simulate,
+// SimulateFaults, SimulateSharded, ...) run them with every message
+// arriving at step 0. Simulate draws Engines from a sync.Pool;
+// SimulateBatch fans independent simulations out across GOMAXPROCS
+// workers. The original map-scanning simulator is retained as
+// SimulateReference — the golden model for equivalence tests and
+// old-vs-new benchmarks.
 package netsim
 
 import "fmt"

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -63,6 +64,12 @@ func TestSimulateEmptyRouteAndErrors(t *testing.T) {
 	}
 	if _, err := Simulate([]*Message{{Route: []int{1}, Flits: 0}}, CutThrough); err == nil {
 		t.Error("zero flits accepted")
+	}
+	// Per-position flit counts are int32.
+	tooMany := math.MaxInt32
+	tooMany++
+	if _, err := Simulate([]*Message{{Route: []int{1}, Flits: tooMany}}, CutThrough); err == nil {
+		t.Error("flit count above MaxInt32 accepted")
 	}
 }
 

@@ -6,15 +6,16 @@ import (
 	"sync"
 )
 
-// This file fuses the two scaling layers of the engine: the sharded
-// step loop of sharded.go (dense link space partitioned across worker
-// goroutines, two barriers per step) driven by the open-loop arrival
-// stream and slot-recycling arena of openloop.go. The partition and
-// phase structure are identical to the closed-loop sharded engine —
+// This file is the sharded step loop: the partition and two-barrier
+// step of sharded.go (dense link space split across worker goroutines)
+// driven by the arrival stream and slot-recycling arena of openloop.go,
+// with the serial loop's fast paths (see its file comment) keyed on the
+// same run state. The closed-loop sharded entry points run it with
+// every message arriving at step 0. The step is
 //
 //	transfer(k) ∥ …  →  [barrier: kills]  →  arrive(k) ∥ …  →  [barrier: step end]
 //
-// — with three open-loop extensions, all confined to the
+// and everything the arrival stream adds is confined to the
 // single-threaded barrier actions:
 //
 //   - Arrival dispatch: an arrival due at the closing step is injected
@@ -45,14 +46,13 @@ import (
 // message id; LatencySink observations and PerMessage callbacks fire
 // in message-id order. Aggregate results are bit-identical to
 // SimulateOpenLoop for every shard count; within-step event *order* is
-// canonicalized exactly as in the closed-loop sharded engine
-// (single-shard order is worklist-dependent), which the equivalence
-// suite checks with order-insensitive stream comparisons.
+// canonicalized (single-shard order is worklist-dependent), which the
+// equivalence suite checks with order-insensitive stream comparisons.
 
 // olSharded bundles an Engine (template numbering and the slot arena)
 // with the partition, barrier, arrival stream, and per-shard states of
-// one open-loop run. Everything below the barrier is written only
-// during setup or inside barrier actions.
+// one run. Everything below the barrier is written only during setup
+// or inside barrier actions.
 type olSharded struct {
 	e      *Engine
 	bar    stepBarrier
@@ -60,26 +60,21 @@ type olSharded struct {
 	owner  []uint8
 	cuts   []int32
 
-	tmpls []*Message
-	src   ArrivalSource
-	opts  OpenLoopOpts
-	olr   *OpenLoopResult
+	olRun
 
 	links     int32
 	maxRoute  int
 	horizon   int
+	limit     int // closed-loop livelock bound, or 0 (see closedLimit)
 	graceful  bool
 	wantStats bool
+	// killed reports that this step's kill barrier failed a slot; only
+	// then can the arrival phase meet a dead slot's flits.
+	killed bool
 
 	step         int
 	lastProgress int
-	live         int // slots currently in flight
-	inFlight     int // their total flits, for the livelock bound
-	nextMsg      int32
-	lastStep     int // step of the last successful pull, for re-poll checks
 	movedPrev    int // Σ st.moved at the previous step end
-	pending      Arrival
-	havePending  bool
 	done         bool
 	err          error
 
@@ -108,7 +103,7 @@ func SimulateOpenLoopSharded(tmpls []*Message, src ArrivalSource, opts OpenLoopO
 		return SimulateOpenLoop(tmpls, src, opts)
 	}
 	sh := olShardedPool.Get().(*olSharded)
-	olr, _, err := sh.run(tmpls, src, opts, shards, false)
+	olr, _, err := sh.run(tmpls, src, opts, closedRun{}, shards, false)
 	olShardedPool.Put(sh)
 	return olr, err
 }
@@ -122,13 +117,13 @@ func SimulateOpenLoopShardedStats(tmpls []*Message, src ArrivalSource, opts Open
 		return nil, nil, fmt.Errorf("netsim: negative shard count %d", shards)
 	}
 	sh := olShardedPool.Get().(*olSharded)
-	olr, stats, err := sh.run(tmpls, src, opts, shards, true)
+	olr, stats, err := sh.run(tmpls, src, opts, closedRun{}, shards, true)
 	olShardedPool.Put(sh)
 	return olr, stats, err
 }
 
-// run is the shared core of the sharded open-loop entry points.
-func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, shards int, wantStats bool) (*OpenLoopResult, []ShardStat, error) {
+// run is the shared core of every sharded entry point.
+func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, cl closedRun, shards int, wantStats bool) (*OpenLoopResult, []ShardStat, error) {
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -148,28 +143,34 @@ func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts,
 		shards = 255
 	}
 	if shards <= 1 {
-		return sh.runSingle(tmpls, src, opts, wantStats)
+		return sh.runSingle(tmpls, src, opts, cl, wantStats)
 	}
 
+	sh.begin(tmpls, src, opts, cl)
 	graceful := opts.StepLimit > 0
 	horizon := 0
 	if opts.Faults != nil {
 		horizon = opts.Faults.Horizon()
 		if horizon < 0 && !graceful {
-			return nil, nil, fmt.Errorf("netsim: unbounded fault schedule requires OpenLoopOpts.StepLimit")
+			err := sh.horizonError()
+			sh.reset()
+			return nil, nil, err
 		}
 	}
 
-	e.growState(0, 0, int(links))
+	e.growState(int(links))
+	e.probe = opts.Probe
 	if opts.Probe != nil || opts.Faults != nil {
 		e.fillExt(tmpls, links)
 	}
 	if opts.Probe != nil {
-		opts.Probe.BeginRun(RunInfo{Messages: -1, Links: int(links), LinkExt: e.ext[:links], Mode: opts.Mode})
+		opts.Probe.BeginRun(sh.runInfo(e, links))
 	}
-	e.olReset(len(tmpls))
+	e.olReset()
 
-	// Partition: contiguous dense-id ranges, exactly as in sharded.go.
+	// Partition: contiguous dense-id ranges of near-equal size. Dense
+	// ids are assigned in route order, so ranges inherit whatever
+	// locality the route construction has.
 	sh.cuts = grow(sh.cuts, shards+1)
 	for s := 0; s <= shards; s++ {
 		sh.cuts[s] = int32(int64(links) * int64(s) / int64(shards))
@@ -194,7 +195,7 @@ func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts,
 		st.pbMove = st.pbMove[:0]
 		st.pbArrv = st.pbArrv[:0]
 		st.doneSlots = st.doneSlots[:0]
-		st.moved, st.maxQ, st.deliveredStep = 0, 0, 0
+		st.moved, st.maxQ = 0, 0
 		st.injected, st.dropped, st.boundary = 0, 0, 0
 		for len(st.out) < shards {
 			st.out = append(st.out, newSPSCRing())
@@ -207,34 +208,34 @@ func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts,
 		}
 	}
 
-	sh.tmpls = tmpls
-	sh.src = src
-	sh.opts = opts
-	sh.olr = &OpenLoopResult{}
 	sh.links = links
 	sh.maxRoute = shape.maxRoute
 	sh.horizon = horizon
+	sh.limit = sh.closedLimit(shape, horizon)
 	sh.graceful = graceful
 	sh.wantStats = wantStats
+	sh.killed = false
 	sh.step = 0
 	sh.lastProgress = 0
-	sh.live = 0
-	sh.inFlight = 0
-	sh.nextMsg = 0
 	sh.movedPrev = 0
 	sh.done = false
 	sh.err = nil
 	sh.killEv = sh.killEv[:0]
 	sh.bar.init(shards)
 
-	sh.lastStep = 0
-	sh.pending, sh.havePending = src.Next()
-	if sh.havePending {
-		if sh.pending.Step < 0 {
-			sh.reset()
-			return nil, nil, fmt.Errorf("netsim: arrival step %d is negative", sh.pending.Step)
+	if err := sh.first(); err != nil {
+		sh.reset()
+		return nil, nil, err
+	}
+	if cl.burst {
+		e.olBurst(&sh.olRun, func(p int32) {
+			sh.olEnqueueShard(sh.states[sh.owner[e.olRoute[p]]], p)
+		})
+		if wantStats {
+			for p, l := range e.olRoute {
+				sh.states[sh.owner[l]].injected += int(e.olSlotFl[e.olPosSlot[p]])
+			}
 		}
-		sh.lastStep = sh.pending.Step
 	}
 
 	// Leap to the first arrivals and inject them, then open the first
@@ -292,19 +293,18 @@ func (sh *olSharded) run(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts,
 }
 
 // reset drops the run's references to caller-owned objects (source,
-// sinks, callbacks, probe) so a pooled olSharded retains nothing.
+// sinks, callbacks, probe, outcomes) so a pooled olSharded retains
+// nothing.
 func (sh *olSharded) reset() {
-	sh.tmpls = nil
-	sh.src = nil
-	sh.opts = OpenLoopOpts{}
-	sh.olr = nil
+	sh.olRun = olRun{}
+	sh.e.probe = nil
 }
 
 // runSingle handles runs whose link count (or requested shard count)
-// collapses to one shard: delegate to the single-shard open-loop path
-// on this run's private engine.
-func (sh *olSharded) runSingle(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, wantStats bool) (*OpenLoopResult, []ShardStat, error) {
-	olr, err := sh.e.SimulateOpenLoop(tmpls, src, opts)
+// collapses to one shard: delegate to the serial loop on this run's
+// private engine.
+func (sh *olSharded) runSingle(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, cl closedRun, wantStats bool) (*OpenLoopResult, []ShardStat, error) {
+	olr, err := sh.e.openLoop(tmpls, src, opts, cl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -339,8 +339,8 @@ func (sh *olSharded) fail(err error) {
 // single-threaded (setup or a barrier action).
 func (sh *olSharded) advanceIdle() {
 	for sh.live == 0 && !sh.done {
-		sh.repoll()
-		if sh.err != nil {
+		if err := sh.repoll(); err != nil {
+			sh.fail(err)
 			return
 		}
 		if !sh.havePending {
@@ -365,7 +365,7 @@ func (sh *olSharded) advanceIdle() {
 
 // beginStep opens the next simulated step: the clock advances by one,
 // a graceful StepLimit sweeps everything still in flight, and the
-// livelock bound is enforced exactly as in the single-shard loop. Runs
+// livelock bound is enforced exactly as in the serial loop. Runs
 // single-threaded.
 func (sh *olSharded) beginStep() {
 	sh.step++
@@ -376,7 +376,11 @@ func (sh *olSharded) beginStep() {
 		sh.done = true
 		return
 	}
-	if !sh.graceful {
+	if sh.limit > 0 {
+		if sh.step > sh.limit {
+			sh.fail(fmt.Errorf("netsim: no progress after %d steps", sh.limit))
+		}
+	} else if !sh.graceful {
 		slack := stepLimit(sh.inFlight, sh.maxRoute, sh.live)
 		if h := sh.horizon - sh.lastProgress; h > 0 {
 			slack += h
@@ -390,7 +394,7 @@ func (sh *olSharded) beginStep() {
 // timeoutSweep fails every live slot at the StepLimit step, in
 // message-id order (the canonical merge order; the reference model's
 // sweep order). The buffered probe events flush immediately — timeout
-// events follow the final StepEnd, as in every other engine path.
+// events follow the final StepEnd, as in the serial loop.
 func (sh *olSharded) timeoutSweep() {
 	e := sh.e
 	limit := sh.opts.StepLimit
@@ -404,7 +408,9 @@ func (sh *olSharded) timeoutSweep() {
 		return int(e.olSlotMsg[a] - e.olSlotMsg[b])
 	})
 	for _, s := range sw {
-		sh.olFailSlotSharded(s, limit, -1)
+		if e.olFailSlot(&sh.olRun, s, limit, -1, &sh.killEv) {
+			sh.attributeDrops(s)
+		}
 		e.olSlotDead[s] = false
 		e.olSlotMsg[s] = -1
 	}
@@ -418,145 +424,64 @@ func (sh *olSharded) timeoutSweep() {
 	sh.killEv = sh.killEv[:0]
 }
 
+// attributeDrops charges each flit-hop slot s dropped to the shard
+// owning its link, for the per-shard conservation stats.
+func (sh *olSharded) attributeDrops(s int32) {
+	if !sh.wantStats {
+		return
+	}
+	e := sh.e
+	flits := e.olSlotFl[s]
+	for p := e.olSlotOff[s]; p < e.olSlotEnd[s]; p++ {
+		sh.states[sh.owner[e.olRoute[p]]].dropped += int(flits - e.olCrossed[p])
+	}
+}
+
 // injectDue injects every pending arrival due at the current step,
 // enqueueing each base position on the shard owning its first link.
 // An exhausted source is re-polled first when a listener is attached —
 // this step's failure callbacks may have scheduled reroutes. Reports
 // whether at least one arrival was injected; on error sh.err is set
-// and the loop stops.
+// and the loop stops. Runs single-threaded.
 func (sh *olSharded) injectDue() bool {
-	sh.repoll()
-	if sh.err != nil {
+	e := sh.e
+	if err := sh.repoll(); err != nil {
+		sh.fail(err)
 		return false
 	}
 	injected := false
 	for sh.havePending && sh.pending.Step == sh.step {
-		if !sh.injectPending() {
+		base, err := e.olInject(&sh.olRun, sh.step)
+		if err != nil {
+			sh.fail(err)
 			return injected
 		}
-		injected = true
-		n, ok := sh.src.Next()
-		if ok {
-			if n.Step < sh.pending.Step {
-				sh.fail(fmt.Errorf("netsim: arrival %d: steps must be nondecreasing (step %d after %d)", sh.nextMsg, n.Step, sh.pending.Step))
-				return injected
+		if sh.wantStats {
+			t := sh.pending.Tmpl
+			for p := e.off[t]; p < e.off[t+1]; p++ {
+				sh.states[sh.owner[e.route[p]]].injected += sh.tmpls[t].Flits
 			}
-			sh.lastStep = n.Step
 		}
-		sh.pending, sh.havePending = n, ok
+		if base >= 0 {
+			sh.olEnqueueShard(sh.states[sh.owner[e.olRoute[base]]], base)
+		}
+		injected = true
+		if err := sh.advance(); err != nil {
+			sh.fail(err)
+			return injected
+		}
 	}
 	return injected
 }
 
-// repoll re-queries an exhausted source, mirroring the single-shard
-// repoll: with a listener attached the source may be a reacting
-// session whose failure callbacks schedule reroute arrivals, so
-// ok=false is never final. Listener-off runs keep the historical
-// one-ahead pull pattern untouched. Runs single-threaded.
-func (sh *olSharded) repoll() {
-	if sh.havePending || sh.opts.Listener == nil {
-		return
-	}
-	n, ok := sh.src.Next()
-	if !ok {
-		return
-	}
-	if n.Step < sh.lastStep {
-		sh.fail(fmt.Errorf("netsim: arrival %d: steps must be nondecreasing (step %d after %d)", sh.nextMsg, n.Step, sh.lastStep))
-		return
-	}
-	sh.pending, sh.havePending = n, true
-	sh.lastStep = n.Step
-}
-
-// injectPending places the pending arrival at the current step:
-// empty-route templates deliver on the spot; everything else claims a
-// slot (recycled from the template's free list when possible) and
-// enqueues its base position on the owning shard. Mirrors the
-// single-shard inject closure. Runs single-threaded.
-func (sh *olSharded) injectPending() bool {
-	e := sh.e
-	a := sh.pending
-	if a.Tmpl < 0 || int(a.Tmpl) >= len(sh.tmpls) {
-		sh.fail(fmt.Errorf("netsim: arrival %d names template %d of %d", sh.nextMsg, a.Tmpl, len(sh.tmpls)))
-		return false
-	}
-	msg := sh.nextMsg
-	sh.nextMsg++
-	if sh.nextMsg < 0 {
-		sh.fail(fmt.Errorf("netsim: arrival count overflows int32 message ids"))
-		return false
-	}
-	olr := sh.olr
-	olr.Injected++
-	t := a.Tmpl
-	flits := sh.tmpls[t].Flits
-	hops := int(e.off[t+1] - e.off[t])
-	olr.InjectedHops += flits * hops
-	if sh.wantStats {
-		for p := e.off[t]; p < e.off[t+1]; p++ {
-			sh.states[sh.owner[e.route[p]]].injected += flits
-		}
-	}
-	step := sh.step
-	if hops == 0 {
-		olr.DeliveredMsgs++
-		if sh.opts.Probe != nil {
-			sh.opts.Probe.MsgDone(step, msg, true)
-		}
-		if sh.opts.Sink != nil && step >= sh.opts.MeasureAfter {
-			sh.opts.Sink.Observe(0)
-		}
-		if sh.opts.PerMessage != nil {
-			sh.opts.PerMessage(msg, step, step, true)
-		}
-		return true
-	}
-	var s int32
-	if fl := e.olFree[t]; len(fl) > 0 {
-		s = fl[len(fl)-1]
-		e.olFree[t] = fl[:len(fl)-1]
-		base, end := e.olSpan(s)
-		for p := base; p < end; p++ {
-			e.olArrived[p] = 0
-			e.olCrossed[p] = 0
-			e.olBuffer[p] = 0
-			e.olQueued[p] = false
-		}
-	} else {
-		s = e.olNewSlot(t, flits)
-	}
-	e.olSlotMsg[s] = msg
-	e.olSlotArr[s] = step
-	base := e.olSlotOff[s]
-	e.olArrived[base] = flits
-	sh.live++
-	sh.inFlight += flits
-	if sh.live > olr.MaxInFlight {
-		olr.MaxInFlight = sh.live
-	}
-	sh.olEnqueueShard(sh.states[sh.owner[e.olRoute[base]]], base)
-	return true
-}
-
-// worker is the per-shard step loop, structurally identical to the
-// closed-loop sharded worker. The posCmp closure is built once per
-// worker (not per step) so the steady state allocates nothing.
+// worker is the per-shard step loop. All workers run it in lockstep:
+// the two barriers per step separate the transfer phase (producers of
+// boundary flits) from the arrival phase (consumers), with kills,
+// injections, and termination decided single-threaded in the barrier
+// actions. The posCmp method value is built once per worker (not per
+// step) so the steady state allocates nothing.
 func (sh *olSharded) worker(k int) {
-	e := sh.e
-	posCmp := func(a, b int32) int {
-		sa, sb := e.olPosSlot[a], e.olPosSlot[b]
-		if ma, mb := e.olSlotMsg[sa], e.olSlotMsg[sb]; ma != mb {
-			if ma < mb {
-				return -1
-			}
-			return 1
-		}
-		if ha, hb := a-e.olSlotOff[sa], b-e.olSlotOff[sb]; ha < hb {
-			return -1
-		}
-		return 1
-	}
+	posCmp := sh.e.olPosCmp
 	for {
 		sh.transfer(k)
 		sh.bar.wait(sh.killAction)
@@ -568,11 +493,11 @@ func (sh *olSharded) worker(k int) {
 	}
 }
 
-// transfer runs the single-shard open-loop transfer phase over this
-// shard's active links, routing each moved flit either to the local
-// arrival batch or across a shard boundary. The final hop of a route
-// is always processed locally: delivery bookkeeping belongs to the
-// shard owning the last link.
+// transfer runs the serial transfer phase over this shard's active
+// links, routing each moved flit either to the local arrival batch or
+// across a shard boundary. The final hop of a route is always
+// processed locally: delivery bookkeeping belongs to the shard owning
+// the last link.
 func (sh *olSharded) transfer(k int) {
 	e := sh.e
 	st := sh.states[k]
@@ -582,6 +507,7 @@ func (sh *olSharded) transfer(k int) {
 	step := sh.step
 	probe := sh.opts.Probe
 	faults := sh.opts.Faults
+	offset := sh.offset
 	cur := st.work
 	st.work = st.scratch[:0]
 	st.arr = st.arr[:0]
@@ -592,7 +518,7 @@ func (sh *olSharded) transfer(k int) {
 			continue
 		}
 		if faults != nil {
-			if dn, perm := faults.Status(e.ext[l], step); dn {
+			if dn, perm := faults.Status(e.ext[l], offset+step); dn {
 				if !perm {
 					st.work = append(st.work, l)
 					continue
@@ -639,7 +565,7 @@ func (sh *olSharded) transfer(k int) {
 			e.inWork[l] = false
 		}
 		next := p + 1
-		if _, end := e.olSpan(s); next == end || sh.owner[e.olRoute[next]] == uint8(k) {
+		if next == e.olSlotEnd[s] || sh.owner[e.olRoute[next]] == uint8(k) {
 			st.arr = append(st.arr, p)
 		} else {
 			st.boundary++
@@ -656,9 +582,10 @@ func (sh *olSharded) transfer(k int) {
 // slots of every permanently-down link found this step, in globally
 // ascending dense-link order (shards own ascending ranges, so
 // iterating shards in order with each batch sorted gives the global
-// order — the same canonical order the single-shard engine uses). Runs
+// order — the same canonical order the serial loop uses). Runs
 // single-threaded; it may touch any shard's FIFO state.
 func (sh *olSharded) killAction() {
+	sh.killed = false
 	if sh.opts.Faults == nil {
 		return
 	}
@@ -669,77 +596,21 @@ func (sh *olSharded) killAction() {
 		}
 		slices.Sort(st.down)
 		for _, l := range st.down {
-			if sh.opts.Listener != nil {
-				sh.opts.Listener.LinkDown(sh.step, e.ext[l], true)
-			}
-			e.kill = e.kill[:0]
-			for p := e.qhead[l]; p >= 0; p = e.olQNext[p] {
-				s := e.olPosSlot[p]
-				if e.olArrived[p]-e.olCrossed[p] > 0 && !e.olSlotDead[s] {
-					e.kill = append(e.kill, s)
-				}
-			}
-			blame := e.ext[l]
-			for _, s := range e.kill {
-				if sh.olFailSlotSharded(s, sh.step, blame) {
-					e.olKilled = append(e.olKilled, s)
-				}
+			n := len(e.olKilled)
+			e.olKillQueued(&sh.olRun, l, sh.step, &sh.killEv)
+			for _, s := range e.olKilled[n:] {
+				sh.attributeDrops(s)
 			}
 		}
 	}
-}
-
-// olFailSlotSharded mirrors olFailSlot with each dropped flit-hop
-// additionally attributed to the shard owning its link and the probe
-// events buffered for the canonical flush; blame is the killing link's
-// external id (-1 for StepLimit sweeps), forwarded to the
-// FaultListener. Runs single-threaded (barrier action or timeout
-// sweep); idempotent per step via the dead flag.
-func (sh *olSharded) olFailSlotSharded(s int32, step, blame int) bool {
-	e := sh.e
-	if e.olSlotDead[s] {
-		return false
-	}
-	e.olSlotDead[s] = true
-	olr := sh.olr
-	olr.FailedMsgs++
-	flits := e.olSlotFl[s]
-	base, end := e.olSpan(s)
-	dropped := 0
-	for p := base; p < end; p++ {
-		d := flits - e.olCrossed[p]
-		dropped += d
-		sh.states[sh.owner[e.olRoute[p]]].dropped += d
-		if e.olQueued[p] {
-			l := e.olRoute[p]
-			e.olUnlink(l, p)
-			e.qlen[l]--
-			e.olQueued[p] = false
-			if avail := e.olArrived[p] - e.olCrossed[p]; avail > 0 {
-				e.credit[l] -= avail
-			}
-		}
-	}
-	olr.DroppedFlits += dropped
-	msg := e.olSlotMsg[s]
-	if sh.opts.Probe != nil {
-		sh.killEv = append(sh.killEv, killEvent{msg: msg, dropped: dropped})
-	}
-	if sh.opts.PerMessage != nil {
-		sh.opts.PerMessage(msg, e.olSlotArr[s], step, false)
-	}
-	if sh.opts.Listener != nil {
-		sh.opts.Listener.MsgFailed(step, msg, blame)
-	}
-	return true
+	sh.killed = len(e.olKilled) > 0
 }
 
 // arrive drains this shard's local arrivals, then every peer's ring
-// and spill batch destined here, applying the single-shard arrival
-// rules over the arena arrays. Same-step enqueues sort by (message id,
-// hop) through the slot table — recycled slots make raw position order
-// history-dependent — which equals the single-shard posCmp sort
-// restricted to this shard's links.
+// and spill batch destined here, applying the serial arrival rules.
+// Same-step enqueues sort by (message id, hop) — as raw positions until
+// a slot is reused, through the slot table after — which equals the
+// serial sort restricted to this shard's links.
 func (sh *olSharded) arrive(k int, posCmp func(a, b int32) int) {
 	st := sh.states[k]
 	st.enq = st.enq[:0]
@@ -762,7 +633,11 @@ func (sh *olSharded) arrive(k int, posCmp func(a, b int32) int) {
 			sh.process(st, p)
 		}
 	}
-	slices.SortFunc(st.enq, posCmp)
+	if sh.reused {
+		slices.SortFunc(st.enq, posCmp)
+	} else {
+		slices.Sort(st.enq)
+	}
 	for _, p := range st.enq {
 		sh.olEnqueueShard(st, p)
 	}
@@ -775,12 +650,12 @@ func (sh *olSharded) arrive(k int, posCmp func(a, b int32) int) {
 func (sh *olSharded) process(st *shardState, p int32) {
 	e := sh.e
 	s := e.olPosSlot[p]
-	if e.olSlotDead[s] {
+	if sh.killed && e.olSlotDead[s] {
 		return // killed this step: crossing counted, arrival absorbed
 	}
 	flits := e.olSlotFl[s]
 	next := p + 1
-	if _, end := e.olSpan(s); next == end {
+	if next == e.olSlotEnd[s] {
 		done := e.olCrossed[p] == flits
 		if sh.opts.Probe != nil {
 			v := uint64(uint32(e.olSlotMsg[s])) << 1
@@ -805,7 +680,7 @@ func (sh *olSharded) process(st *shardState, p int32) {
 		if e.olBuffer[next] == flits {
 			e.olArrived[next] = flits
 			if e.olQueued[next] {
-				sh.olAddCredit(st, e.olRoute[next], flits-e.olCrossed[next])
+				sh.olAddCredit(st, e.olRoute[next], int(flits-e.olCrossed[next]))
 			}
 		}
 	}
@@ -832,7 +707,7 @@ func (sh *olSharded) olEnqueueShard(st *shardState, p int32) {
 		st.maxQ = e.qlen[l]
 	}
 	if avail := e.olArrived[p] - e.olCrossed[p]; avail > 0 {
-		sh.olAddCredit(st, l, avail)
+		sh.olAddCredit(st, l, int(avail))
 	}
 }
 
@@ -854,7 +729,6 @@ func (sh *olSharded) olAddCredit(st *shardState, l int32, c int) {
 // — another step, a quiescent leap, or termination.
 func (sh *olSharded) stepEndAction() {
 	e := sh.e
-	olr := sh.olr
 	step := sh.step
 	probe := sh.opts.Probe
 	movedNow := 0
@@ -878,16 +752,24 @@ func (sh *olSharded) stepEndAction() {
 		}
 		sh.killEv = sh.killEv[:0]
 	}
-	// Deliveries in message-id order: fold the shards' completed-slot
-	// batches, emit FlitDelivered/MsgDone, observe latencies, recycle.
+	// Deliveries: fold the shards' completed-slot batches, emit
+	// FlitDelivered/MsgDone, observe latencies, recycle. A latency sink
+	// or PerMessage callback sees them in message-id order (slot order,
+	// until a slot is reused); nothing else can observe the order.
 	db := sh.doneBuf[:0]
 	for _, st := range sh.states[:sh.bar.n] {
 		db = append(db, st.doneSlots...)
 		st.doneSlots = st.doneSlots[:0]
 	}
-	slices.SortFunc(db, func(a, b int32) int {
-		return int(e.olSlotMsg[a] - e.olSlotMsg[b])
-	})
+	switch {
+	case sh.opts.Sink == nil && sh.opts.PerMessage == nil:
+	case sh.reused:
+		slices.SortFunc(db, func(a, b int32) int {
+			return int(e.olSlotMsg[a] - e.olSlotMsg[b])
+		})
+	default:
+		slices.Sort(db)
+	}
 	if probe != nil {
 		ar := sh.arBuf[:0]
 		for _, st := range sh.states[:sh.bar.n] {
@@ -905,18 +787,7 @@ func (sh *olSharded) stepEndAction() {
 		sh.arBuf = ar
 	}
 	for _, s := range db {
-		msg := e.olSlotMsg[s]
-		olr.DeliveredMsgs++
-		if sh.opts.Sink != nil && e.olSlotArr[s] >= sh.opts.MeasureAfter {
-			sh.opts.Sink.Observe(step - e.olSlotArr[s])
-		}
-		if sh.opts.PerMessage != nil {
-			sh.opts.PerMessage(msg, e.olSlotArr[s], step, true)
-		}
-		sh.live--
-		sh.inFlight -= e.olSlotFl[s]
-		e.olSlotMsg[s] = -1
-		e.olFree[e.olSlotTmpl[s]] = append(e.olFree[e.olSlotTmpl[s]], s)
+		e.olDeliver(&sh.olRun, s, step)
 	}
 	sh.doneBuf = db
 	// Recycle slots killed this step (their dead flags were visible to
@@ -925,16 +796,12 @@ func (sh *olSharded) stepEndAction() {
 	killed := len(e.olKilled) > 0
 	for _, s := range e.olKilled {
 		e.olSlotDead[s] = false
-		sh.live--
-		sh.inFlight -= e.olSlotFl[s]
-		e.olSlotMsg[s] = -1
-		e.olFree[e.olSlotTmpl[s]] = append(e.olFree[e.olSlotTmpl[s]], s)
+		e.olRelease(&sh.olRun, s)
 	}
 	e.olKilled = e.olKilled[:0]
 	// Injections due this step enqueue after the arrival phase's
 	// (message id, hop)-sorted enqueues; injected ids exceed every
-	// in-flight id, so per-link FIFO order matches the single-shard
-	// global sort.
+	// in-flight id, so per-link FIFO order matches the serial sort.
 	injected := sh.injectDue()
 	if sh.err != nil {
 		return

@@ -383,11 +383,11 @@ func TestOpenLoopShardedAllocs(t *testing.T) {
 		tr.Arrivals = append(tr.Arrivals, Arrival{Step: i / 4, Tmpl: int32(i % len(tmpls))})
 	}
 	opts := OpenLoopOpts{Mode: CutThrough}
-	if _, _, err := sh.run(tmpls, tr.Source(), opts, 3, false); err != nil {
+	if _, _, err := sh.run(tmpls, tr.Source(), opts, closedRun{}, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, _, err := sh.run(tmpls, tr.Source(), opts, 3, false); err != nil {
+		if _, _, err := sh.run(tmpls, tr.Source(), opts, closedRun{}, 3, false); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -190,6 +190,84 @@ func TestOpenLoopMatchesReference(t *testing.T) {
 	}
 }
 
+// TestOpenLoopFastPathSwitchOver drives one run through every hand-over
+// from a fast path to the general path: the trace opens with a step-0
+// burst of every template (no slot reused yet: raw-position enqueue
+// order, no free lists), later arrivals then reuse slots (the
+// slot-table sort takes over), and a permanent link kill lands mid-run
+// (the per-flit dead check switches on), after which the last arrival
+// leaves recycling pointless again. Serial and sharded runs must match
+// the naive reference bit-identically, and a pooled engine that just
+// ran a closed-loop burst must not leak arena state into the run.
+func TestOpenLoopFastPathSwitchOver(t *testing.T) {
+	tmpls := permTemplates(t, 3, 6, 17)
+	// Kill the link most used past a route's first hop, so a message
+	// can die while its trailing flits still move upstream.
+	use := map[int]int{}
+	for _, m := range tmpls {
+		for h, id := range m.Route {
+			if h > 0 {
+				use[id]++
+			}
+		}
+	}
+	hot := -1
+	for id, n := range use {
+		if hot < 0 || n > use[hot] || n == use[hot] && id < hot {
+			hot = id
+		}
+	}
+	// Two more templates meet on one link right after disjoint first
+	// hops. Re-injected at step 10 in reverse template order, each
+	// reuses its own burst slot, so the newer message sits at the lower
+	// positions when both join the shared link's FIFO in the same step:
+	// raw position order is then the wrong tie-break.
+	a, b := int32(len(tmpls)), int32(len(tmpls)+1)
+	tmpls = append(tmpls, &Message{Route: []int{1001, 1003}, Flits: 2}, &Message{Route: []int{1002, 1003}, Flits: 2})
+	const killStep = 14
+	tr := allAtZero(tmpls)
+	tr.Arrivals = append(tr.Arrivals, Arrival{Step: 10, Tmpl: b}, Arrival{Step: 10, Tmpl: a})
+	rng := rand.New(rand.NewSource(29))
+	for step := 11; step <= 50; step++ {
+		for k := rng.Intn(4); k >= 0; k-- {
+			tr.Arrivals = append(tr.Arrivals, Arrival{Step: step, Tmpl: int32(rng.Intn(len(tmpls)))})
+		}
+	}
+	for _, mode := range []Mode{StoreAndForward, CutThrough} {
+		opts := OpenLoopOpts{Mode: mode, Faults: faults.NewSchedule().FailLink(hot, killStep)}
+		opt, rec := runBoth(t, tmpls, tr, opts)
+		if opt.FailedMsgs == 0 {
+			t.Fatalf("%v: kill of link %d at step %d failed nothing", mode, hot, killStep)
+		}
+		early := 0
+		for _, r := range rec {
+			if r.delivered && r.done < killStep {
+				early++
+			}
+		}
+		if early == 0 {
+			t.Fatalf("%v: nothing delivered before the kill; the run never started on the fast paths", mode)
+		}
+		e := NewEngine()
+		if _, err := e.Simulate(tmpls, mode); err != nil {
+			t.Fatal(err)
+		}
+		again, err := e.SimulateOpenLoop(tmpls, tr.Source(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, opt) {
+			t.Fatalf("%v: run after a closed-loop burst on the same engine diverged: %+v vs %+v", mode, again, opt)
+		}
+		if slots := len(e.olSlotTmpl); slots >= opt.Injected {
+			t.Fatalf("%v: %d slots for %d arrivals; no slot was reused", mode, slots, opt.Injected)
+		}
+		for _, shards := range []int{2, 3} {
+			runShardedBoth(t, tmpls, tr, opts, shards)
+		}
+	}
+}
+
 // TestOpenLoopLeapArithmetic pins the leap clock exactly: three
 // uncontended 3-hop transfers at steps 0/1000/2000 with 2 flits
 // cut-through each take hops+flits-1 = 4 steps, so the run spans 2004

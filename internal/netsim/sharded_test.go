@@ -305,6 +305,13 @@ func TestShardedProbedFaultFree(t *testing.T) {
 	}
 }
 
+// closedShardedStats runs a closed-loop burst through the sharded step
+// loop with the per-shard accounting on.
+func closedShardedStats(msgs []*Message, opts OpenLoopOpts, shards int) (*OpenLoopResult, []ShardStat, error) {
+	sh := &olSharded{e: NewEngine()}
+	return sh.run(msgs, nil, opts, closedRun{burst: true}, shards, true)
+}
+
 // TestShardedStatsConservation checks the per-shard invariant on the
 // fault-free path: every shard's moved flits equal its injected
 // flit-hops (everything delivers), the shard link counts partition the
@@ -316,10 +323,11 @@ func TestShardedStatsConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 3, 8} {
-		res, stats, err := SimulateShardedStats(msgs, CutThrough, shards)
+		olr, stats, err := closedShardedStats(msgs, OpenLoopOpts{Mode: CutThrough}, shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
+		res := &olr.Result
 		if !reflect.DeepEqual(res, want) {
 			t.Fatalf("shards=%d: result diverged", shards)
 		}
@@ -344,13 +352,12 @@ func TestShardedStatsConservation(t *testing.T) {
 
 // TestShardedStatsConservationWithFaults checks the generalized
 // invariant moved+dropped == injected per shard under a killing
-// schedule, via the internal run (the stats themselves are not part of
-// the public fault API).
+// schedule, via the internal sharded run (the stats themselves are not
+// part of the public fault API).
 func TestShardedStatsConservationWithFaults(t *testing.T) {
 	msgs := shardedWorkloads()["shared-bottleneck"]
 	sched := faults.NewSchedule().FailLink(9, 2)
-	sh := &sharded{e: NewEngine()}
-	_, fr, stats, err := sh.run(msgs, CutThrough, FaultOpts{Faults: sched}, true, nil, 4, true)
+	fr, stats, err := closedShardedStats(msgs, OpenLoopOpts{Mode: CutThrough, Faults: sched}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +408,8 @@ func TestShardedPoolReuse(t *testing.T) {
 	}
 }
 
-// TestShardedErrorPaths pins the error contracts: invalid flits, the
-// unbounded-schedule guard, and the probes/shards arity check.
+// TestShardedErrorPaths pins the error contracts: invalid flits and the
+// unbounded-schedule guard.
 func TestShardedErrorPaths(t *testing.T) {
 	bad := []*Message{{Route: []int{0, 1}, Flits: 0}}
 	if _, err := SimulateSharded(bad, CutThrough, 4); err == nil {
@@ -412,15 +419,11 @@ func TestShardedErrorPaths(t *testing.T) {
 	if _, err := SimulateFaultsSharded(msgs, CutThrough, FaultOpts{Faults: &faults.PerStep{P: 0.5, Seed: 1}}, 4); err == nil {
 		t.Error("unbounded schedule without StepLimit accepted")
 	}
-	if _, err := SimulateShardedProbes(msgs, CutThrough, 3, []Probe{&traceProbe{}}); err == nil {
-		t.Error("probes/shards arity mismatch accepted")
-	}
 }
 
-// TestNumberAllNoAllocs pins the shared numbering pass (satellite of
-// the sharding work: Simulate, SimulateFaults, simulateWormhole, and
-// the sharded engine all run through numberAll) to zero allocations on
-// a warm engine.
+// TestNumberAllNoAllocs pins the shared numbering pass (the serial and
+// sharded step loops and simulateWormhole all run through numberAll)
+// to zero allocations on a warm engine.
 func TestNumberAllNoAllocs(t *testing.T) {
 	q := hypercube.New(4)
 	rng := rand.New(rand.NewSource(3))

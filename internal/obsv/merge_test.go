@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,119 +30,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	if err := a.Merge(NewHistogram(2, 8)); err == nil {
 		t.Fatal("width mismatch accepted")
-	}
-}
-
-func TestSeriesMergeWeighted(t *testing.T) {
-	a, b := NewSeries(4), NewSeries(4)
-	// 6 steps at capacity 4 forces one stride doubling plus a partial
-	// window, covering every piece of series state.
-	av := []float64{1, 0, 1, 1, 0, 1}
-	bv := []float64{0, 1, 1, 0, 1, 1}
-	for i := range av {
-		a.Add(av[i])
-		b.Add(bv[i])
-	}
-	if err := a.MergeWeighted(b, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	want := NewSeries(4)
-	for i := range av {
-		want.Add((3*av[i] + 1*bv[i]) / 4)
-	}
-	got, exp := a.Samples(), want.Samples()
-	if len(got) != len(exp) {
-		t.Fatalf("sample count %d != %d", len(got), len(exp))
-	}
-	for i := range got {
-		if math.Abs(got[i]-exp[i]) > 1e-12 {
-			t.Fatalf("sample %d: %g != %g", i, got[i], exp[i])
-		}
-	}
-	short := NewSeries(4)
-	short.Add(1)
-	if err := a.MergeWeighted(short, 1, 1); err == nil {
-		t.Fatal("misaligned series accepted")
-	}
-}
-
-// TestRecorderMergeEqualsSingleShard is the satellite contract of the
-// sharded engine's observation story: running with one Recorder per
-// shard and merging afterwards must reproduce the single-shard
-// Recorder — histograms and counters exactly, the busy-fraction
-// series up to floating-point association, per-link utilization
-// exactly.
-func TestRecorderMergeEqualsSingleShard(t *testing.T) {
-	q := hypercube.New(4)
-	rng := rand.New(rand.NewSource(11))
-	msgs := netsim.PermutationMessages(q, rng.Perm(q.Nodes()), 3)
-	opts := RecorderOpts{LinkUtil: true, UtilCap: 32}
-
-	single := NewRecorderOpts(opts)
-	want, err := netsim.SimulateProbed(msgs, netsim.CutThrough, single)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const shards = 3
-	recs := make([]*Recorder, shards)
-	probes := make([]netsim.Probe, shards)
-	for k := range recs {
-		recs[k] = NewRecorderOpts(opts)
-		probes[k] = recs[k]
-	}
-	got, err := netsim.SimulateShardedProbes(msgs, netsim.CutThrough, shards, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded result %+v != single %+v", got, want)
-	}
-
-	merged := recs[0]
-	for _, o := range recs[1:] {
-		if err := merged.Merge(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if !reflect.DeepEqual(merged.FlitLatency, single.FlitLatency) {
-		t.Errorf("flit latency: %+v != %+v", merged.FlitLatency, single.FlitLatency)
-	}
-	if !reflect.DeepEqual(merged.MsgLatency, single.MsgLatency) {
-		t.Errorf("msg latency: %+v != %+v", merged.MsgLatency, single.MsgLatency)
-	}
-	if !reflect.DeepEqual(merged.QueueDepth, single.QueueDepth) {
-		t.Errorf("queue depth: %+v != %+v", merged.QueueDepth, single.QueueDepth)
-	}
-	if merged.Runs != single.Runs || merged.Steps != single.Steps {
-		t.Errorf("runs/steps %d/%d != %d/%d", merged.Runs, merged.Steps, single.Runs, single.Steps)
-	}
-	if merged.Delivered != single.Delivered || merged.Failed != single.Failed ||
-		merged.Moved != single.Moved || merged.Dropped != single.Dropped {
-		t.Errorf("counters diverge: %+v vs %+v", merged, single)
-	}
-	mb, sb := merged.BusyFraction.Samples(), single.BusyFraction.Samples()
-	if len(mb) != len(sb) {
-		t.Fatalf("busy-fraction samples %d != %d", len(mb), len(sb))
-	}
-	for i := range mb {
-		if math.Abs(mb[i]-sb[i]) > 1e-12 {
-			t.Errorf("busy fraction sample %d: %g != %g", i, mb[i], sb[i])
-		}
-	}
-	mu, su := merged.LinkUtilization(), single.LinkUtilization()
-	if !reflect.DeepEqual(mu, su) {
-		t.Errorf("link utilization maps diverge: %d links vs %d", len(mu), len(su))
-	}
-
-	// Overlapping recorders (same links twice) must be rejected.
-	dup := NewRecorderOpts(opts)
-	if _, err := netsim.SimulateProbed(msgs, netsim.CutThrough, dup); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(dup); err == nil {
-		t.Error("merging recorders with overlapping links accepted")
 	}
 }
 

@@ -316,8 +316,8 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 }
 
 // Per-link queue-depth accumulation (RecorderOpts.LinkQueues) against
-// hand-fed probe callbacks: stats key by external id, Reset clears
-// them, and Merge sums them elementwise.
+// hand-fed probe callbacks: stats key by external id and Reset clears
+// them.
 func TestRecorderLinkQueueDepth(t *testing.T) {
 	rec := NewRecorderOpts(RecorderOpts{LinkQueues: true})
 	rec.BeginRun(netsim.RunInfo{Messages: 1, Links: 2, LinkExt: []int{4, 9}})
@@ -338,21 +338,6 @@ func TestRecorderLinkQueueDepth(t *testing.T) {
 	rec.EachLinkQueueDepth(func(link int, _ LinkQueueStat) { seen = append(seen, link) })
 	if len(seen) != 2 || seen[0] != 4 || seen[1] != 9 {
 		t.Fatalf("EachLinkQueueDepth visited %v, want [4 9]", seen)
-	}
-
-	// Merge sums counting stats even for overlapping link sets.
-	other := NewRecorderOpts(RecorderOpts{LinkQueues: true})
-	other.BeginRun(netsim.RunInfo{Messages: 1, Links: 2, LinkExt: []int{9, 12}})
-	other.StepEnd(0, []int{2, 7})
-	other.StepEnd(1, []int{0, 0})
-	if err := rec.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := rec.LinkQueueDepth(9); s.Sum != 3 || s.N != 4 || s.Max != 2 {
-		t.Fatalf("merged link 9: got %+v, want Sum 3 N 4 Max 2", s)
-	}
-	if s, _ := rec.LinkQueueDepth(12); s.Sum != 7 || s.N != 2 || s.Max != 7 {
-		t.Fatalf("merged link 12: got %+v", s)
 	}
 
 	rec.Reset()

@@ -58,12 +58,11 @@ func (s LinkQueueStat) Mean() float64 {
 //
 // A Recorder accumulates across runs until discarded; it is not safe
 // for concurrent use (a probe observes one engine, which is itself
-// single-goroutine). The sharded engine fits that contract two ways:
-// netsim.SimulateShardedProbed delivers one merged, canonically
-// ordered stream to a single Recorder, and
-// netsim.SimulateShardedProbes gives each shard its own Recorder —
-// folded together afterwards with Merge — so recording never crosses
-// a goroutine.
+// single-goroutine). The sharded engines fit that contract by merging
+// their workers' events at each step barrier:
+// netsim.SimulateShardedProbed and netsim.SimulateOpenLoopSharded
+// deliver one canonically ordered stream to a single Recorder, so
+// recording never crosses a goroutine.
 type Recorder struct {
 	// FlitLatency observes the arrival step of every flit at its
 	// destination; MsgLatency the completion step of every delivered
