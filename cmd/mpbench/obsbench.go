@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,12 +55,12 @@ type obsvReport struct {
 	GeneratedAt string   `json:"generated_at"`
 	Env         benchEnv `json:"env"`
 	Mode        string   `json:"mode"`
-	Flits       int    `json:"flits"`
+	Flits       int      `json:"flits"`
 	// ProbeOnOverheadPct is the measured cost of *attaching* a Recorder
-	// (probe-on vs bare) on the Theorem 1 n=16 workload — the price of
-	// observation when you ask for it. The probe-off overhead contract
-	// (≤2% vs the pre-probe engine) is asserted separately in
-	// internal/netsim's TestProbeOffOverhead.
+	// (probe-on vs bare, median of paired ratios) on the Theorem 1 n=16
+	// workload — the price of observation when you ask for it. The
+	// probe-off overhead contract (≤2% vs the pre-probe engine) is
+	// asserted separately in internal/netsim's TestProbeOffOverhead.
 	ProbeOnOverheadPct float64    `json:"probe_on_overhead_pct"`
 	WallMS             float64    `json:"wall_ms"`
 	Cases              []obsvCase `json:"cases"`
@@ -115,7 +116,10 @@ func theoremCase(name string, build func(int) (*core.Embedding, error)) (obsvCas
 }
 
 // probeOnOverhead times the Theorem 1 n=16 workload bare and with a
-// Recorder attached — best of a few interleaved runs each.
+// Recorder attached: the median of 11 paired ratios, each pair one bare
+// and one probed run with the leader alternating, so drift in machine
+// load hits both sides of a pair alike. The Recorder is Reset (untimed)
+// before every probed run, so each observes exactly one run.
 func probeOnOverhead() (float64, error) {
 	e, err := cycles.Theorem1(obsN)
 	if err != nil {
@@ -125,34 +129,40 @@ func probeOnOverhead() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	best := func(probe netsim.Probe) (time.Duration, error) {
-		min := time.Duration(1 << 62)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			var err error
-			if probe != nil {
-				_, err = netsim.SimulateProbed(msgs, netsim.CutThrough, probe)
-			} else {
-				_, err = netsim.Simulate(msgs, netsim.CutThrough)
-			}
-			if err != nil {
+	rec := obsv.NewRecorder()
+	run := func(probed bool) (time.Duration, error) {
+		var err error
+		var start time.Time
+		if probed {
+			rec.Reset()
+			start = time.Now()
+			_, err = netsim.SimulateProbed(msgs, netsim.CutThrough, rec)
+		} else {
+			start = time.Now()
+			_, err = netsim.Simulate(msgs, netsim.CutThrough)
+		}
+		return time.Since(start), err
+	}
+	// Warm the pooled engine and the Recorder's buffers untimed.
+	for _, probed := range []bool{false, true} {
+		if _, err := run(probed); err != nil {
+			return 0, err
+		}
+	}
+	const pairs = 11
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var d [2]time.Duration // bare, probed
+		for j := 0; j < 2; j++ {
+			k := (i + j) % 2 // the leader alternates
+			if d[k], err = run(k == 1); err != nil {
 				return 0, err
 			}
-			if d := time.Since(start); d < min {
-				min = d
-			}
 		}
-		return min, nil
+		ratios[i] = float64(d[1]) / float64(d[0])
 	}
-	bare, err := best(nil)
-	if err != nil {
-		return 0, err
-	}
-	probed, err := best(obsv.NewRecorder())
-	if err != nil {
-		return 0, err
-	}
-	return (float64(probed)/float64(bare) - 1) * 100, nil
+	slices.Sort(ratios)
+	return (ratios[pairs/2] - 1) * 100, nil
 }
 
 // measureObsSweep runs the observability suite once per process; the

@@ -3,12 +3,13 @@ package obsv
 import "fmt"
 
 // Merge folds a histogram over the same value space into h by bucket
-// summation. The widths must match; differing bucket counts are
-// reconciled by growing h.
+// summation. The widths must match; of differing bucket limits h keeps
+// the larger.
 func (h *Histogram) Merge(o *Histogram) error {
 	if h.Width != o.Width {
 		return fmt.Errorf("obsv: merging histograms of width %d and %d", h.Width, o.Width)
 	}
+	h.limit = max(h.limit, o.limit)
 	if n := len(o.Counts) - len(h.Counts); n > 0 {
 		h.Counts = append(h.Counts, make([]uint64, n)...)
 	}

@@ -6,8 +6,11 @@
 //
 // The package is deliberately off the simulator's hot path: netsim
 // knows only the Probe interface (a nil field when observation is
-// off), and everything here may allocate freely — the cost of
-// observation is paid only by runs that asked for it.
+// off), so the cost of observation is paid only by runs that asked for
+// it. That cost is still kept proportional to activity: Recorder does
+// per-link work only for links that queued or moved a flit in a step,
+// and histograms allocate buckets only up to the highest value they
+// have seen.
 package obsv
 
 import (
@@ -17,12 +20,16 @@ import (
 
 // Histogram is a fixed-bucket counting histogram over non-negative
 // integer values (steps, queue depths). Bucket i counts values v with
-// i*Width ≤ v < (i+1)*Width; values at or beyond Buckets*Width land in
-// the overflow bucket, which quantile queries report conservatively as
-// the maximum observed value. With Width 1 (the default used by
-// Recorder) quantiles over in-range values are exact.
+// i*Width ≤ v < (i+1)*Width; values at or beyond buckets*Width (the
+// bucket limit given to NewHistogram) land in the overflow bucket,
+// which quantile queries report conservatively as the maximum observed
+// value. With Width 1 (the default used by Recorder) quantiles over
+// in-range values are exact.
 type Histogram struct {
-	Width  int
+	Width int
+	// Counts holds the in-range buckets observed so far: it grows on
+	// demand, so len(Counts) is the highest bucket observed + 1 (0
+	// before any in-range value) and never exceeds the bucket limit.
 	Counts []uint64
 	// Over counts values beyond the bucketed range.
 	Over uint64
@@ -30,10 +37,13 @@ type Histogram struct {
 	N   uint64
 	Sum int64
 	Max int
+
+	limit int // bucket limit: values at or beyond limit*Width overflow
 }
 
 // NewHistogram returns a histogram with the given bucket width and
-// bucket count. Width < 1 is treated as 1; buckets < 1 as 1.
+// bucket limit. Width < 1 is treated as 1; buckets < 1 as 1. No bucket
+// is allocated until a value lands in it.
 func NewHistogram(width, buckets int) *Histogram {
 	if width < 1 {
 		width = 1
@@ -41,7 +51,9 @@ func NewHistogram(width, buckets int) *Histogram {
 	if buckets < 1 {
 		buckets = 1
 	}
-	return &Histogram{Width: width, Counts: make([]uint64, buckets)}
+	// Counts starts non-nil, as Reset leaves it, so a reset histogram
+	// and a fresh one compare equal.
+	return &Histogram{Width: width, Counts: []uint64{}, limit: buckets}
 }
 
 // Observe records one value. Negative values are clamped to 0 (they do
@@ -57,9 +69,24 @@ func (h *Histogram) Observe(v int) {
 	}
 	if b := v / h.Width; b < len(h.Counts) {
 		h.Counts[b]++
+	} else if b < h.limit {
+		h.Counts = append(h.Counts, make([]uint64, b+1-len(h.Counts))...)
+		h.Counts[b]++
 	} else {
 		h.Over++
 	}
+}
+
+// observeZeros records k observations of the value 0 at once.
+func (h *Histogram) observeZeros(k int) {
+	if k <= 0 {
+		return
+	}
+	h.N += uint64(k)
+	if len(h.Counts) == 0 {
+		h.Counts = append(h.Counts, 0)
+	}
+	h.Counts[0] += uint64(k)
 }
 
 // Mean returns the mean observed value, or 0 for an empty histogram.

@@ -7,11 +7,11 @@ import (
 // RecorderOpts sizes a Recorder's collectors. The zero value gives the
 // defaults noted on each field.
 type RecorderOpts struct {
-	// LatencyBuckets is the width-1 bucket count of the flit- and
+	// LatencyBuckets is the width-1 bucket limit of the flit- and
 	// message-latency histograms (default 4096; later steps summarize
 	// through the overflow bucket).
 	LatencyBuckets int
-	// QueueBuckets is the width-1 bucket count of the queue-depth
+	// QueueBuckets is the width-1 bucket limit of the queue-depth
 	// histogram (default 256).
 	QueueBuckets int
 	// LinkUtil enables per-link utilization time series, keyed by
@@ -33,7 +33,11 @@ type RecorderOpts struct {
 }
 
 // LinkQueueStat accumulates one link's queue-depth samples: the sum
-// and count of StepEnd observations plus the maximum seen.
+// and count of StepEnd observations plus the maximum seen. Every link
+// of a run is sampled on every step, so the Recorder keeps N lazily: a
+// run's step count is folded into its links' N at the next BeginRun,
+// at Reset, and whenever the stats are read (LinkQueueDepth,
+// EachLinkQueueDepth), which therefore always report the full count.
 type LinkQueueStat struct {
 	Sum uint64
 	N   uint64
@@ -86,14 +90,18 @@ type Recorder struct {
 	opts RecorderOpts
 	util map[int]*Series // external link id → utilization series
 	// Per-link queue-depth accumulators indexed by external link id
-	// (parallel slices, grown on demand; RecorderOpts.LinkQueues).
-	lqSum []uint64
-	lqN   []uint64
-	lqMax []int
+	// (parallel slices sized by BeginRun; RecorderOpts.LinkQueues).
+	// lqN lags by lqSteps for the current run's links (see
+	// LinkQueueStat).
+	lqSum   []uint64
+	lqN     []uint64
+	lqMax   []int
+	lqSteps uint64 // StepEnd calls of the current run not yet in lqN
 
 	// Per-run scratch, rebuilt by BeginRun.
-	ext   []int // copy of the run's dense→external id table
-	moved []int // flits moved per dense link in the current step
+	ext     []int   // copy of the run's dense→external id table
+	moved   []int   // flits moved per dense link in the current step
+	touched []int32 // dense links with moved > 0, in first-move order
 }
 
 // NewRecorder returns a Recorder with default options.
@@ -126,58 +134,91 @@ func NewRecorderOpts(opts RecorderOpts) *Recorder {
 // BeginRun implements netsim.Probe.
 func (r *Recorder) BeginRun(info netsim.RunInfo) {
 	r.Runs++
+	r.foldLinkQueueSteps()
 	r.ext = append(r.ext[:0], info.LinkExt...)
 	if cap(r.moved) < info.Links {
 		r.moved = make([]int, info.Links)
+		r.touched = make([]int32, 0, info.Links)
 	}
 	r.moved = r.moved[:info.Links]
-	for i := range r.moved {
-		r.moved[i] = 0
+	clear(r.moved)
+	r.touched = r.touched[:0]
+	if r.opts.LinkQueues {
+		top := -1
+		for _, id := range r.ext {
+			top = max(top, id)
+		}
+		if n := top + 1 - len(r.lqSum); n > 0 {
+			r.lqSum = append(r.lqSum, make([]uint64, n)...)
+			r.lqN = append(r.lqN, make([]uint64, n)...)
+			r.lqMax = append(r.lqMax, make([]int, n)...)
+		}
 	}
 }
 
 // StepEnd implements netsim.Probe: it samples every link's queue depth
-// and closes the step's utilization window.
+// and closes the step's utilization window. Its cost is one sequential
+// scan of queueLen plus work per link whose queue is non-empty or that
+// moved a flit this step: the empty queues enter QueueDepth as one
+// weighted zero observation, and the per-link queue counts (LinkQueues)
+// advance lazily. Only RecorderOpts.LinkUtil adds work per link.
 func (r *Recorder) StepEnd(step int, queueLen []int) {
 	r.Steps++
-	busy := 0
-	for l, q := range queueLen {
-		r.QueueDepth.Observe(q)
-		m := r.moved[l]
-		if m > 0 {
-			busy++
-		}
-		if r.util != nil {
-			s := r.util[r.ext[l]]
+	if r.util != nil {
+		for l, id := range r.ext[:len(queueLen)] {
+			s := r.util[id]
 			if s == nil {
 				s = NewSeries(r.opts.UtilCap)
-				r.util[r.ext[l]] = s
+				r.util[id] = s
 			}
-			s.Add(float64(m))
+			s.Add(float64(r.moved[l]))
 		}
+	}
+	nonzero := 0
+	for l, q := range queueLen {
+		if q == 0 {
+			continue
+		}
+		nonzero++
+		r.QueueDepth.Observe(q)
 		if r.opts.LinkQueues {
 			id := r.ext[l]
-			if id >= len(r.lqSum) {
-				r.lqSum = append(r.lqSum, make([]uint64, id+1-len(r.lqSum))...)
-				r.lqN = append(r.lqN, make([]uint64, id+1-len(r.lqN))...)
-				r.lqMax = append(r.lqMax, make([]int, id+1-len(r.lqMax))...)
-			}
 			r.lqSum[id] += uint64(q)
-			r.lqN[id]++
-			if q > r.lqMax[id] {
-				r.lqMax[id] = q
-			}
+			r.lqMax[id] = max(r.lqMax[id], q)
 		}
+	}
+	r.QueueDepth.observeZeros(len(queueLen) - nonzero)
+	if r.opts.LinkQueues {
+		r.lqSteps++
+	}
+	busy := len(r.touched)
+	for _, l := range r.touched {
 		r.moved[l] = 0
 	}
+	r.touched = r.touched[:0]
 	if len(queueLen) > 0 {
 		r.BusyFraction.Add(float64(busy) / float64(len(queueLen)))
 	}
 }
 
+// foldLinkQueueSteps adds the current run's pending step count to the
+// N of each of its links.
+func (r *Recorder) foldLinkQueueSteps() {
+	if r.lqSteps == 0 {
+		return
+	}
+	for _, id := range r.ext {
+		r.lqN[id] += r.lqSteps
+	}
+	r.lqSteps = 0
+}
+
 // FlitMoved implements netsim.Probe.
 func (r *Recorder) FlitMoved(step int, msg, link int32) {
 	r.Moved++
+	if r.moved[link] == 0 {
+		r.touched = append(r.touched, link)
+	}
 	r.moved[link]++
 }
 
@@ -225,6 +266,7 @@ func (r *Recorder) UtilizationOf(link int) (*Series, bool) {
 // external link id and whether that link was ever observed. Requires
 // RecorderOpts.LinkQueues.
 func (r *Recorder) LinkQueueDepth(link int) (LinkQueueStat, bool) {
+	r.foldLinkQueueSteps()
 	if link < 0 || link >= len(r.lqN) || r.lqN[link] == 0 {
 		return LinkQueueStat{}, false
 	}
@@ -234,6 +276,7 @@ func (r *Recorder) LinkQueueDepth(link int) (LinkQueueStat, bool) {
 // EachLinkQueueDepth calls fn for every observed link in ascending
 // external-id order. Requires RecorderOpts.LinkQueues.
 func (r *Recorder) EachLinkQueueDepth(fn func(link int, s LinkQueueStat)) {
+	r.foldLinkQueueSteps()
 	for id, n := range r.lqN {
 		if n > 0 {
 			fn(id, LinkQueueStat{Sum: r.lqSum[id], N: n, Max: r.lqMax[id]})

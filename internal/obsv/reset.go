@@ -1,11 +1,10 @@
 package obsv
 
-// Reset clears the histogram's counts and summary statistics in place,
-// keeping the allocated bucket slice. Width is preserved.
+// Reset clears the histogram's counts and summary statistics in place:
+// Counts is emptied but keeps its capacity (Observe zeroes the buckets
+// it re-exposes). Width and the bucket limit are preserved.
 func (h *Histogram) Reset() {
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
+	h.Counts = h.Counts[:0]
 	h.Over, h.N, h.Sum, h.Max = 0, 0, 0, 0
 }
 
@@ -35,8 +34,8 @@ func (r *Recorder) Reset() {
 	clear(r.lqSum)
 	clear(r.lqN)
 	clear(r.lqMax)
+	r.lqSteps = 0
 	r.ext = r.ext[:0]
-	for i := range r.moved {
-		r.moved[i] = 0
-	}
+	clear(r.moved)
+	r.touched = r.touched[:0]
 }
