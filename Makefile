@@ -3,17 +3,21 @@
 
 GO ?= go
 
-.PHONY: all check build vet staticcheck test test-short race bench experiments examples fuzz-short cover clean
+.PHONY: all check fmt build vet staticcheck test test-short race bench experiments examples fuzz-short cover clean
 
 all: check
 
-# The default verification path: build, vet, staticcheck (when
+# The default verification path: gofmt, build, vet, staticcheck (when
 # installed), tests, and the race detector (the netsim batch runner,
 # the mpbench worker pool, and the core arena builders' per-worker
 # fan-out are concurrent, so -race is part of the gate, not an extra;
 # the core package's parallel-build tests force multiple workers
 # regardless of host core count).
-check: build vet staticcheck test race
+check: fmt build vet staticcheck test race
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -34,12 +34,12 @@ type benchExperiment struct {
 }
 
 type benchReport struct {
-	GeneratedAt   string            `json:"generated_at"`
-	GoMaxProcs    int               `json:"gomaxprocs"`
-	Env           benchEnv          `json:"env"`
-	Parallel      bool              `json:"parallel"`
-	TotalWallMS   float64           `json:"total_wall_ms"`
-	EngineSpeedup *speedupReport    `json:"engine_speedup"`
+	GeneratedAt   string         `json:"generated_at"`
+	GoMaxProcs    int            `json:"gomaxprocs"`
+	Env           benchEnv       `json:"env"`
+	Parallel      bool           `json:"parallel"`
+	TotalWallMS   float64        `json:"total_wall_ms"`
+	EngineSpeedup *speedupReport `json:"engine_speedup"`
 	// ShardSweep is the E25 record: the partitioned engine versus the
 	// single-shard engine on Theorem 1 traffic (see shardbench.go).
 	ShardSweep  *shardSweepReport `json:"shard_sweep"`

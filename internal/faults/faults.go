@@ -22,6 +22,17 @@
 //
 // All models are immutable once handed to a simulation and safe for
 // concurrent readers.
+//
+// Cost model. The simulator queries Status about once per flit hop,
+// and almost every query is for a link that never fails. A Schedule
+// therefore keeps, beside its per-link window map, a bitset with one
+// bit per link id that has any outage window: Status answers a link
+// without windows with one bit test, and pays a map lookup only for
+// links that have a window. The bitset covers ids 0 ≤ id < 64·words,
+// where words is bounded by the schedule's size (filterWords), not by
+// the largest id; ids outside it (negative, or far above every other
+// id) fall through to the map. Horizon is kept up to date as windows
+// are added, so it is O(1).
 package faults
 
 import (
@@ -66,6 +77,12 @@ func (w window) permanentAt(step int) bool {
 // concurrency-safe; querying is.
 type Schedule struct {
 	byLink map[int][]window
+	// filter has bit l set for every link 0 ≤ l < 64·len(filter) with
+	// a window in byLink; Status skips the map for every other link in
+	// that range.
+	filter  []uint64
+	windows int // windows in byLink, which bound len(filter)
+	horizon int // the largest From or Until of any window
 }
 
 // NewSchedule returns an empty schedule.
@@ -82,7 +99,53 @@ func (s *Schedule) add(link int, w window) *Schedule {
 		s.byLink = make(map[int][]window)
 	}
 	s.byLink[link] = append(s.byLink[link], w)
+	s.windows++
+	s.horizon = max(s.horizon, w.From, w.Until)
+	s.mark(link)
 	return s
+}
+
+// Filter sizing: the bitset may grow to filterMinWords words (32 KiB,
+// every link of Q_14) plus filterWordsPerWindow words per window, so
+// its memory is bounded by the schedule's size however large its ids.
+const (
+	filterMinWords       = 1 << 12
+	filterWordsPerWindow = 64
+)
+
+// filterWords is the largest filter the schedule's windows allow.
+func (s *Schedule) filterWords() int {
+	return filterMinWords + filterWordsPerWindow*s.windows
+}
+
+// mark sets link's filter bit, first growing the filter to cover link
+// when the size bound allows it. A link the filter cannot cover stays
+// in the map alone, where Status finds it by lookup.
+func (s *Schedule) mark(link int) {
+	if link < 0 {
+		return
+	}
+	if w := link >> 6; w >= len(s.filter) {
+		if w >= s.filterWords() {
+			return
+		}
+		s.growFilter(min(max(w+1, 2*len(s.filter)), s.filterWords()))
+	}
+	s.filter[link>>6] |= 1 << (uint(link) & 63)
+}
+
+// growFilter widens the filter to words words and sets the bits of
+// the links it newly covers.
+func (s *Schedule) growFilter(words int) {
+	old := len(s.filter) << 6
+	grown := make([]uint64, words)
+	copy(grown, s.filter)
+	s.filter = grown
+	for l := range s.byLink {
+		if l >= old && l < words<<6 {
+			s.filter[l>>6] |= 1 << (uint(l) & 63)
+		}
+	}
 }
 
 // FailLink fails the link permanently from step from (1 to fail from
@@ -148,6 +211,10 @@ func Bernoulli(numLinks int, p float64, seed int64) *Schedule {
 func BernoulliWindow(numLinks int, p float64, seed int64, from, until int) *Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	s := NewSchedule()
+	if p > 0 && numLinks > 0 {
+		// Size the map for the expected draw, so it rarely regrows.
+		s.byLink = make(map[int][]window, int(min(p, 1)*float64(numLinks)))
+	}
 	for id := 0; id < numLinks; id++ {
 		if rng.Float64() < p {
 			s.add(id, window{From: from, Until: until})
@@ -163,6 +230,9 @@ func BernoulliWindow(numLinks int, p float64, seed int64, from, until int) *Sche
 // bundle.
 func Union(a, b *Schedule) *Schedule {
 	s := NewSchedule()
+	if n := a.FaultyLinks() + b.FaultyLinks(); n > 0 {
+		s.byLink = make(map[int][]window, n)
+	}
 	for _, src := range []*Schedule{a, b} {
 		if src == nil {
 			continue
@@ -179,7 +249,10 @@ func Union(a, b *Schedule) *Schedule {
 // Status implements Oracle: down if any window covers the step,
 // permanent if any covering window never closes.
 func (s *Schedule) Status(link, step int) (down, permanent bool) {
-	if s == nil || s.byLink == nil {
+	if s == nil {
+		return false, false
+	}
+	if uint(link) < uint(len(s.filter))<<6 && s.filter[link>>6]&(1<<(uint(link)&63)) == 0 {
 		return false, false
 	}
 	for _, w := range s.byLink[link] {
@@ -197,21 +270,10 @@ func (s *Schedule) Status(link, step int) (down, permanent bool) {
 // state. All windows start and (for transient ones) end at finite
 // steps, so a Schedule is always bounded.
 func (s *Schedule) Horizon() int {
-	h := 0
 	if s == nil {
 		return 0
 	}
-	for _, ws := range s.byLink {
-		for _, w := range ws {
-			if w.From > h {
-				h = w.From
-			}
-			if w.Until > h {
-				h = w.Until
-			}
-		}
-	}
-	return h
+	return s.horizon
 }
 
 // Empty reports whether the schedule contains no outages at all.

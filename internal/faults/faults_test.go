@@ -272,3 +272,66 @@ func TestHash01RangeAndDeterminism(t *testing.T) {
 		t.Fatal("seed does not perturb the draw")
 	}
 }
+
+// The filter's memory is bounded by the schedule's size, not by its
+// largest link id: ids it cannot cover stay in the map, and Status
+// still finds them there.
+func TestScheduleFilterBounded(t *testing.T) {
+	s := NewSchedule().FailLink(1<<40, 1)
+	if len(s.filter) > s.filterWords() {
+		t.Fatalf("filter has %d words, bound %d", len(s.filter), s.filterWords())
+	}
+	if d, p := s.Status(1<<40, 1); !d || !p {
+		t.Fatalf("link 2^40 step 1: down=%v permanent=%v, want permanent", d, p)
+	}
+	s.FailLinkTransient(-3, 2, 5).FailLink(70, 4)
+	if len(s.filter) != 2 {
+		t.Fatalf("filter has %d words after link 70, want 2", len(s.filter))
+	}
+	for _, c := range []struct {
+		link, step int
+		down, perm bool
+	}{
+		{1 << 40, 9, true, true}, {1<<40 + 1, 9, false, false},
+		{-3, 2, true, false}, {-3, 5, false, false}, {-4, 3, false, false},
+		{70, 3, false, false}, {70, 4, true, true}, {69, 4, false, false},
+		{0, 4, false, false},
+	} {
+		if d, p := s.Status(c.link, c.step); d != c.down || p != c.perm {
+			t.Errorf("link %d step %d: (%v, %v), want (%v, %v)", c.link, c.step, d, p, c.down, c.perm)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NewSchedule().FailLink(1<<40, 1) }); allocs > 8 {
+		t.Errorf("a one-window schedule at id 2^40 allocates %v times", allocs)
+	}
+
+	// A link too far above the filter for the schedule's size stays in
+	// the map until a later window pays for enough words; the growth
+	// then sets its bit, and the links the filter already held keep
+	// theirs.
+	g := NewSchedule().FailLink(3, 1)
+	far := 64 * (filterMinWords + 2*filterWordsPerWindow)
+	g.FailLink(far, 1)
+	if len(g.filter) != 1 {
+		t.Fatalf("filter has %d words, want 1", len(g.filter))
+	}
+	g.FailLink(far+64, 1)
+	if len(g.filter) != far>>6+2 {
+		t.Fatalf("filter has %d words, want %d", len(g.filter), far>>6+2)
+	}
+	for _, l := range []int{3, far, far + 64} {
+		if g.filter[l>>6]&(1<<(uint(l)&63)) == 0 {
+			t.Errorf("link %d has no filter bit", l)
+		}
+		if d, _ := g.Status(l, 1); !d {
+			t.Errorf("link %d up under a permanent window", l)
+		}
+	}
+
+	// The benchmark-sized Bernoulli draws are covered by the filter
+	// in full.
+	b := Bernoulli(12*4096, 0.02, 7)
+	if links := b.Links(); len(b.filter)<<6 <= links[len(links)-1] {
+		t.Fatalf("filter of %d words misses link %d", len(b.filter), links[len(links)-1])
+	}
+}

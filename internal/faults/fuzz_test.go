@@ -34,60 +34,142 @@ func decodeSchedule(data []byte) *Schedule {
 	return s
 }
 
+// refStatus and refHorizon are the golden model of Schedule's queries:
+// a plain scan of the window map, with no filter and no cached
+// horizon.
+func refStatus(s *Schedule, link, step int) (down, permanent bool) {
+	for _, w := range s.byLink[link] {
+		if w.covers(step) {
+			down = true
+			if w.permanentAt(step) {
+				return true, true
+			}
+		}
+	}
+	return down, false
+}
+
+func refHorizon(s *Schedule) int {
+	h := 0
+	for _, ws := range s.byLink {
+		for _, w := range ws {
+			h = max(h, w.From, w.Until)
+		}
+	}
+	return h
+}
+
+// farLink is a link id far above any filter a small schedule may
+// build, so queries for it fall through to the map.
+const farLink = 1 << 40
+
 // FuzzScheduleInvariants asserts, for arbitrary event lists:
 //
+//   - golden model: Status and Horizon match refStatus and refHorizon
+//     at every (link, step) checked below,
 //   - determinism: Status answers are stable across calls,
 //   - permanence: once (down, permanent) holds at step t, it holds at
 //     every later step,
 //   - horizon: after Horizon() no link changes state,
 //   - static view: EverDown(l) iff Status reports down at some step.
+//
+// The same checks run on the union of the schedules decoded from the
+// two halves of the input, and on a copy of the schedule whose windows
+// sit on negative ids and on ids far above the filter.
 func FuzzScheduleInvariants(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 3, 10, 0})
 	f.Add([]byte{2, 3, 10, 1, 5, 3, 10, 2, 0})
 	f.Add([]byte{3, 7, 1, 0, 7, 1, 1, 63, 7, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := decodeSchedule(data)
-		h := s.Horizon()
-		if h < 0 {
-			t.Fatalf("bounded schedule reports horizon %d", h)
-		}
+		links := make([]int, 0, 18)
 		for link := 0; link < 16; link++ {
-			everDown := false
-			permSince := -1
-			for step := 1; step <= h+3; step++ {
-				down, perm := s.Status(link, step)
-				d2, p2 := s.Status(link, step)
-				if down != d2 || perm != p2 {
-					t.Fatal("Status not deterministic")
-				}
-				if perm && !down {
-					t.Fatal("permanent but not down")
-				}
-				if down {
-					everDown = true
-				}
-				if permSince >= 0 && (!down || !perm) {
-					t.Fatalf("link %d: permanent at step %d but up/transient at %d",
-						link, permSince, step)
-				}
-				if perm && permSince < 0 {
-					permSince = step
-				}
+			links = append(links, link)
+		}
+		links = append(links, -1, farLink)
+		s := decodeSchedule(data)
+		checkSchedule(t, "decoded", s, links)
+
+		half := len(data) / 2
+		checkSchedule(t, "union", Union(decodeSchedule(data[:half]), decodeSchedule(data[half:])), links)
+
+		moved := NewSchedule()
+		var movedLinks []int
+		for link := 0; link < 16; link++ {
+			for _, w := range s.byLink[link] {
+				moved.add(-1-link, w)
+				moved.add(farLink+link, w)
 			}
-			// After the horizon the state is frozen.
-			dH, pH := s.Status(link, h+1)
-			for _, step := range []int{h + 2, h + 10, h + 1000} {
+			movedLinks = append(movedLinks, -1-link, farLink+link)
+		}
+		checkSchedule(t, "moved", moved, movedLinks)
+		for link := 0; link < 16; link++ {
+			for step := 1; step <= s.Horizon()+2; step++ {
 				d, p := s.Status(link, step)
-				if d != dH || p != pH {
-					t.Fatalf("link %d changes state after horizon %d", link, h)
+				dn, pn := moved.Status(-1-link, step)
+				df, pf := moved.Status(farLink+link, step)
+				if dn != d || pn != p || df != d || pf != p {
+					t.Fatalf("link %d step %d: moved windows answer differently", link, step)
 				}
-			}
-			if everDown != s.EverDown(link) {
-				t.Fatalf("link %d: EverDown=%v but observed %v", link, s.EverDown(link), everDown)
 			}
 		}
 	})
+}
+
+// checkSchedule runs FuzzScheduleInvariants' checks on s for every
+// listed link.
+func checkSchedule(t *testing.T, name string, s *Schedule, links []int) {
+	t.Helper()
+	h := s.Horizon()
+	if h < 0 {
+		t.Fatalf("%s: bounded schedule reports horizon %d", name, h)
+	}
+	if want := refHorizon(s); h != want {
+		t.Fatalf("%s: horizon %d, reference %d", name, h, want)
+	}
+	for _, link := range links {
+		everDown := false
+		permSince := -1
+		for step := 1; step <= h+3; step++ {
+			down, perm := s.Status(link, step)
+			d2, p2 := s.Status(link, step)
+			if down != d2 || perm != p2 {
+				t.Fatalf("%s: Status not deterministic", name)
+			}
+			if rd, rp := refStatus(s, link, step); down != rd || perm != rp {
+				t.Fatalf("%s: link %d step %d: Status (%v, %v), reference (%v, %v)",
+					name, link, step, down, perm, rd, rp)
+			}
+			if perm && !down {
+				t.Fatalf("%s: permanent but not down", name)
+			}
+			if down {
+				everDown = true
+			}
+			if permSince >= 0 && (!down || !perm) {
+				t.Fatalf("%s: link %d: permanent at step %d but up/transient at %d",
+					name, link, permSince, step)
+			}
+			if perm && permSince < 0 {
+				permSince = step
+			}
+		}
+		// After the horizon the state is frozen.
+		dH, pH := s.Status(link, h+1)
+		for _, step := range []int{h + 2, h + 10, h + 1000} {
+			d, p := s.Status(link, step)
+			if d != dH || p != pH {
+				t.Fatalf("%s: link %d changes state after horizon %d", name, link, h)
+			}
+			if rd, rp := refStatus(s, link, step); d != rd || p != rp {
+				t.Fatalf("%s: link %d step %d: Status (%v, %v), reference (%v, %v)",
+					name, link, step, d, p, rd, rp)
+			}
+		}
+		if everDown != s.EverDown(link) {
+			t.Fatalf("%s: link %d: EverDown=%v but observed %v", name, link, s.EverDown(link), everDown)
+		}
+	}
 }
 
 // FuzzPerStepDeterminism asserts the stateless per-step model is

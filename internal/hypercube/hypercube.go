@@ -9,6 +9,7 @@ package hypercube
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"multipath/internal/graph"
 )
@@ -125,19 +126,21 @@ func (q *Q) CheckPath(p []Node) (int, error) {
 }
 
 // PathEdgeIDs returns the dense edge indices traversed by path p.
-func (q *Q) PathEdgeIDs(p []Node) ([]int, error) {
+func (q *Q) PathEdgeIDs(p []Node) ([]int, error) { return q.AppendPathEdgeIDs(nil, p) }
+
+// AppendPathEdgeIDs validates path p with CheckPath and appends the
+// dense edge indices it traverses to dst, returning the extended
+// slice; on error it returns dst unchanged. Builders that lay many
+// routes out in one arena use it instead of PathEdgeIDs.
+func (q *Q) AppendPathEdgeIDs(dst []int, p []Node) ([]int, error) {
 	if _, err := q.CheckPath(p); err != nil {
-		return nil, err
+		return dst, err
 	}
-	ids := make([]int, len(p)-1)
+	dst = slices.Grow(dst, len(p)-1)
 	for i := 0; i+1 < len(p); i++ {
-		id, err := q.EdgeBetween(p[i], p[i+1])
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
+		dst = append(dst, q.EdgeID(p[i], bits.TrailingZeros32(p[i]^p[i+1])))
 	}
-	return ids, nil
+	return dst, nil
 }
 
 // FillPathEdgeIDs32 validates path p and writes its dense directed

@@ -142,6 +142,51 @@ func TestPathEdgeIDs(t *testing.T) {
 	}
 }
 
+// AppendPathEdgeIDs and its PathEdgeIDs wrapper agree on ids and on
+// error strings, and the errors are CheckPath's; on error the
+// destination comes back unchanged.
+func TestAppendPathEdgeIDs(t *testing.T) {
+	q := New(4)
+	prefix := []int{7, 8}
+	for _, c := range []struct {
+		name string
+		p    []Node
+		ids  []int
+	}{
+		{"path", []Node{0, 1, 3, 11}, []int{q.EdgeID(0, 0), q.EdgeID(1, 1), q.EdgeID(3, 3)}},
+		{"one node", []Node{5}, nil},
+		{"empty", nil, nil},
+		{"outside first", []Node{16, 0}, nil},
+		{"outside later", []Node{0, 1, 17}, nil},
+		{"not adjacent", []Node{0, 1, 7}, nil},
+		{"repeated node", []Node{2, 2}, nil},
+	} {
+		ids, err := q.PathEdgeIDs(c.p)
+		got, aerr := q.AppendPathEdgeIDs(append([]int(nil), prefix...), c.p)
+		_, cerr := q.CheckPath(c.p)
+		if (err == nil) != (cerr == nil) || (aerr == nil) != (cerr == nil) {
+			t.Fatalf("%s: PathEdgeIDs err %v, AppendPathEdgeIDs err %v, CheckPath err %v", c.name, err, aerr, cerr)
+		}
+		if cerr != nil {
+			if err.Error() != cerr.Error() || aerr.Error() != cerr.Error() {
+				t.Fatalf("%s: errors %q, %q, want CheckPath's %q", c.name, err, aerr, cerr)
+			}
+			if ids != nil || len(got) != len(prefix) || got[0] != 7 || got[1] != 8 {
+				t.Fatalf("%s: error left ids %v, dst %v", c.name, ids, got)
+			}
+			continue
+		}
+		if len(ids) != len(c.ids) || len(got) != len(prefix)+len(c.ids) {
+			t.Fatalf("%s: ids %v, appended %v, want %v", c.name, ids, got, c.ids)
+		}
+		for i, id := range c.ids {
+			if ids[i] != id || got[len(prefix)+i] != id {
+				t.Fatalf("%s: ids %v, appended %v, want %v", c.name, ids, got, c.ids)
+			}
+		}
+	}
+}
+
 func TestWindowSignature(t *testing.T) {
 	// v = 01001 (v4..v0), W = {1, 4, 3}: bits v1, v4, v3 = 0, 0, 1.
 	w := Window{1, 4, 3}

@@ -50,8 +50,8 @@ func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := enginePool.Get().(*Engine)
-			defer enginePool.Put(e)
+			e := engines.get()
+			defer engines.put(e)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {

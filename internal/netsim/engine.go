@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Engine is the reusable high-throughput core behind every simulate
@@ -27,9 +26,11 @@ import (
 // enqueued on the same step are ordered by message id (then hop).
 //
 // An Engine is not safe for concurrent use. The package-level Simulate
-// and SimulateBatch draw Engines from a sync.Pool, which is the
-// recommended entry point; hold a private Engine only when a single
-// goroutine runs many simulations back to back.
+// and SimulateBatch draw Engines from a bounded free list, which is the
+// recommended entry point: up to GOMAXPROCS engines, each with buffers
+// sized to the largest run it has served, stay alive across GCs, so a
+// warm entry point does not regrow them. Hold a private Engine only
+// when a single goroutine runs many simulations back to back.
 type Engine struct {
 	// Link-id numbering. The dense table path is used for the common
 	// case of small non-negative external ids (hypercube EdgeIDs are
@@ -114,8 +115,6 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{sparse: make(map[int]int32)}
 }
-
-var enginePool = sync.Pool{New: func() any { return NewEngine() }}
 
 // stepLimit bounds a legitimate run: once a message has fully crossed
 // hop j-1, its request at hop j is queued with available flits, so

@@ -27,9 +27,11 @@
 // serial loop of SimulateOpenLoop and the sharded loop of
 // SimulateOpenLoopSharded — and the closed-loop entry points (Simulate,
 // SimulateFaults, SimulateSharded, ...) run them with every message
-// arriving at step 0. Simulate draws Engines from a sync.Pool;
-// SimulateBatch fans independent simulations out across GOMAXPROCS
-// workers. The original map-scanning simulator is retained as
+// arriving at step 0. Simulate draws Engines from a bounded free
+// list that garbage collection does not empty: up to GOMAXPROCS
+// engines, each with buffers sized to the largest run it has served,
+// stay alive across GCs. SimulateBatch fans independent simulations
+// out across GOMAXPROCS workers. The original map-scanning simulator is retained as
 // SimulateReference — the golden model for equivalence tests and
 // old-vs-new benchmarks.
 package netsim
@@ -97,9 +99,9 @@ type Result struct {
 // Simulate is safe for concurrent use: each call borrows a pooled
 // Engine, so scratch buffers are reused across calls without locking.
 func Simulate(msgs []*Message, mode Mode) (*Result, error) {
-	e := enginePool.Get().(*Engine)
+	e := engines.get()
 	res, err := e.Simulate(msgs, mode)
-	enginePool.Put(e)
+	engines.put(e)
 	return res, err
 }
 

@@ -225,9 +225,9 @@ type OpenLoopResult struct {
 // OpenLoopOpts and the file comment for the contract. Like Simulate,
 // it is safe for concurrent use.
 func SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*OpenLoopResult, error) {
-	e := enginePool.Get().(*Engine)
+	e := engines.get()
 	olr, err := e.SimulateOpenLoop(tmpls, src, opts)
-	enginePool.Put(e)
+	engines.put(e)
 	return olr, err
 }
 

@@ -85,8 +85,6 @@ type olSharded struct {
 	sweep   []int32
 }
 
-var olShardedPool = sync.Pool{New: func() any { return &olSharded{e: NewEngine()} }}
-
 // SimulateOpenLoopSharded is SimulateOpenLoop partitioned across
 // shards worker goroutines: whole-cube steady-state runs at
 // million-link scale. Results, latency sinks, and probe streams carry
@@ -102,9 +100,9 @@ func SimulateOpenLoopSharded(tmpls []*Message, src ArrivalSource, opts OpenLoopO
 	if shards <= 1 {
 		return SimulateOpenLoop(tmpls, src, opts)
 	}
-	sh := olShardedPool.Get().(*olSharded)
+	sh := shardedEngines.get()
 	olr, _, err := sh.run(tmpls, src, opts, closedRun{}, shards, false)
-	olShardedPool.Put(sh)
+	shardedEngines.put(sh)
 	return olr, err
 }
 
@@ -116,9 +114,9 @@ func SimulateOpenLoopShardedStats(tmpls []*Message, src ArrivalSource, opts Open
 	if shards < 0 {
 		return nil, nil, fmt.Errorf("netsim: negative shard count %d", shards)
 	}
-	sh := olShardedPool.Get().(*olSharded)
+	sh := shardedEngines.get()
 	olr, stats, err := sh.run(tmpls, src, opts, closedRun{}, shards, true)
-	olShardedPool.Put(sh)
+	shardedEngines.put(sh)
 	return olr, stats, err
 }
 

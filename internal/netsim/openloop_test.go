@@ -30,11 +30,11 @@ func (s *sliceSink) Observe(v int) { s.vals = append(s.vals, v) }
 // doneProbe records each message's MsgDone step.
 type doneProbe struct{ done map[int32]int }
 
-func (p *doneProbe) BeginRun(RunInfo)               {}
-func (p *doneProbe) StepEnd(int, []int)             {}
-func (p *doneProbe) FlitMoved(int, int32, int32)    {}
-func (p *doneProbe) FlitDelivered(int, int32)       {}
-func (p *doneProbe) FlitsDropped(int, int32, int)   {}
+func (p *doneProbe) BeginRun(RunInfo)                    {}
+func (p *doneProbe) StepEnd(int, []int)                  {}
+func (p *doneProbe) FlitMoved(int, int32, int32)         {}
+func (p *doneProbe) FlitDelivered(int, int32)            {}
+func (p *doneProbe) FlitsDropped(int, int32, int)        {}
 func (p *doneProbe) MsgDone(step int, msg int32, _ bool) { p.done[msg] = step }
 
 // runBoth runs the naive reference and the engine on the same trace

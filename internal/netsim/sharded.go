@@ -106,9 +106,9 @@ func SimulateFaultsSharded(msgs []*Message, mode Mode, opts FaultOpts, shards in
 // simulateClosedSharded runs a closed-loop burst on a pooled sharded
 // engine.
 func simulateClosedSharded(msgs []*Message, opts OpenLoopOpts, cl closedRun, shards int) (*OpenLoopResult, error) {
-	sh := olShardedPool.Get().(*olSharded)
+	sh := shardedEngines.get()
 	olr, _, err := sh.run(msgs, nil, opts, cl, shards, false)
-	olShardedPool.Put(sh)
+	shardedEngines.put(sh)
 	return olr, err
 }
 

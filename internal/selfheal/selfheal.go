@@ -284,7 +284,10 @@ type session struct {
 
 	transfers []transfer
 	meta      []pieceMeta
-	dead      map[int]bool
+	// dead[l] records that host link l is known dead; deadLinks
+	// counts the true entries.
+	dead      []bool
+	deadLinks int
 }
 
 // Send runs one self-healing open-loop session: each arrival in the
@@ -308,7 +311,7 @@ func Send(e *core.Embedding, edges []int, arrivals *netsim.Trace, cfg Config) (*
 		bundles: make([]bundle, len(groups)),
 		base:    arrivals.Arrivals,
 		expT:    -1,
-		dead:    make(map[int]bool),
+		dead:    make([]bool, e.Host.DirectedEdges()),
 	}
 	if s.backoff == nil {
 		s.backoff = FixedBackoff{Steps: 1}
@@ -460,7 +463,15 @@ func (s *session) emitPiece() netsim.Arrival {
 // path cycling and new transfers avoid it.
 func (s *session) LinkDown(step, link int, permanent bool) {
 	if permanent {
+		s.markDead(link)
+	}
+}
+
+// markDead records link as dead.
+func (s *session) markDead(link int) {
+	if !s.dead[link] {
 		s.dead[link] = true
+		s.deadLinks++
 	}
 }
 
@@ -470,7 +481,7 @@ func (s *session) LinkDown(step, link int, permanent bool) {
 // is over, nothing to schedule.
 func (s *session) MsgFailed(step int, msg int32, link int) {
 	if link >= 0 {
-		s.dead[link] = true
+		s.markDead(link)
 	}
 	m := s.meta[msg]
 	tr := &s.transfers[m.t]
@@ -570,7 +581,7 @@ func (s *session) pathDead(b *bundle, j int) bool {
 // the emission log (the engine pulls one arrival ahead, so the last
 // emission may never have entered the run).
 func (s *session) finalize(olr *netsim.OpenLoopResult) *Report {
-	rep := &Report{Transfers: len(s.transfers), Engine: *olr, DeadLinks: len(s.dead)}
+	rep := &Report{Transfers: len(s.transfers), Engine: *olr, DeadLinks: s.deadLinks}
 	for t := range s.transfers {
 		tr := &s.transfers[t]
 		if tr.ok {

@@ -78,7 +78,7 @@ func TestPatternPreconditions(t *testing.T) {
 	}{
 		{"transpose odd n", func() error { _, err := TransposePairs(odd); return err }, true},
 		{"transpose even n", func() error { _, err := TransposePairs(even); return err }, false},
-		{"hotspot out of range", func() error { _, err := HotspotPairs(even, 1 << 10); return err }, true},
+		{"hotspot out of range", func() error { _, err := HotspotPairs(even, 1<<10); return err }, true},
 		{"hotspot in range", func() error { _, err := HotspotPairs(even, 5); return err }, false},
 		{"tornado k=0", func() error { _, err := TornadoPairs(even, 0); return err }, true},
 		{"tornado k=-2", func() error { _, err := TornadoPairs(even, -2); return err }, true},

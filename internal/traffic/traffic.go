@@ -106,28 +106,74 @@ func PathTemplates(e *core.Embedding, edges []int, flits int) ([]*netsim.Message
 			edges[i] = i
 		}
 	}
-	var tmpls []*netsim.Message
+	// Size one route arena, one header array and one group arena for
+	// every path; out-of-range edges are reported by the build loop.
+	paths, hops := 0, 0
+	for _, ge := range edges {
+		if ge < 0 || ge >= len(e.Paths) {
+			continue
+		}
+		for _, p := range e.Paths[ge] {
+			paths++
+			if len(p) >= 2 {
+				hops += len(p) - 1
+			}
+		}
+	}
+	b := newRouteArena(paths, hops)
 	groups := make([][]int32, len(edges))
-	for b, ge := range edges {
+	members := make([]int32, 0, paths)
+	for bi, ge := range edges {
 		if ge < 0 || ge >= len(e.Paths) {
 			return nil, nil, fmt.Errorf("traffic: guest edge %d out of range [0,%d)", ge, len(e.Paths))
 		}
-		ps := e.Paths[ge]
-		group := make([]int32, len(ps))
-		for j, p := range ps {
-			var ids []int
-			if len(p) >= 2 {
-				var err error
-				if ids, err = e.Host.PathEdgeIDs(p); err != nil {
-					return nil, nil, err
-				}
+		start := len(members)
+		for _, p := range e.Paths[ge] {
+			members = append(members, int32(len(b.tmpls)))
+			if err := b.add(e.Host, p, flits); err != nil {
+				return nil, nil, err
 			}
-			group[j] = int32(len(tmpls))
-			tmpls = append(tmpls, &netsim.Message{Route: ids, Flits: flits})
 		}
-		groups[b] = group
+		groups[bi] = members[start:len(members):len(members)]
 	}
-	return tmpls, groups, nil
+	return b.tmpls, groups, nil
+}
+
+// routeArena lays message templates out in one header array and their
+// routes in one id arena, sized up front so nothing regrows.
+type routeArena struct {
+	ids   []int
+	hdrs  []netsim.Message
+	tmpls []*netsim.Message
+}
+
+func newRouteArena(msgs, hops int) *routeArena {
+	if msgs == 0 {
+		return &routeArena{} // no templates: tmpls stays nil
+	}
+	return &routeArena{
+		ids:   make([]int, 0, hops),
+		hdrs:  make([]netsim.Message, 0, msgs),
+		tmpls: make([]*netsim.Message, 0, msgs),
+	}
+}
+
+// add appends a template for host path p. A path with no edge gets a
+// nil route; every other route has its capacity capped at its length,
+// so appending to one route never overwrites the next.
+func (b *routeArena) add(q *hypercube.Q, p core.Path, flits int) error {
+	var route []int
+	if len(p) >= 2 {
+		start := len(b.ids)
+		var err error
+		if b.ids, err = q.AppendPathEdgeIDs(b.ids, p); err != nil {
+			return err
+		}
+		route = b.ids[start:len(b.ids):len(b.ids)]
+	}
+	b.hdrs = append(b.hdrs, netsim.Message{Route: route, Flits: flits})
+	b.tmpls = append(b.tmpls, &b.hdrs[len(b.hdrs)-1])
+	return nil
 }
 
 // WidthPathMessages spreads an M-flit transfer per guest edge of a
@@ -137,7 +183,27 @@ func WidthPathMessages(e *core.Embedding, flits int) ([]*netsim.Message, error) 
 	if flits < 1 {
 		return nil, fmt.Errorf("traffic: width-path messages need at least 1 flit, got %d", flits)
 	}
-	var msgs []*netsim.Message
+	msgs, hops := 0, 0
+	forEachWidthPiece(e, flits, func(p core.Path, _ int) error {
+		msgs++
+		hops += len(p) - 1
+		return nil
+	})
+	b := newRouteArena(msgs, hops)
+	err := forEachWidthPiece(e, flits, func(p core.Path, f int) error {
+		return b.add(e.Host, p, f)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return b.tmpls, nil
+}
+
+// forEachWidthPiece calls fn with every path that WidthPathMessages
+// sends flits on and its flit count: flits split over each guest
+// edge's w paths, remainders to the earliest, skipping pieces with no
+// flit or no edge.
+func forEachWidthPiece(e *core.Embedding, flits int, fn func(p core.Path, f int) error) error {
 	for _, ps := range e.Paths {
 		w := len(ps)
 		base := flits / w
@@ -150,12 +216,10 @@ func WidthPathMessages(e *core.Embedding, flits int) ([]*netsim.Message, error) 
 			if f == 0 || len(p) < 2 {
 				continue
 			}
-			ids, err := e.Host.PathEdgeIDs(p)
-			if err != nil {
-				return nil, err
+			if err := fn(p, f); err != nil {
+				return err
 			}
-			msgs = append(msgs, &netsim.Message{Route: ids, Flits: f})
 		}
 	}
-	return msgs, nil
+	return nil
 }

@@ -382,11 +382,11 @@ type countingProbe struct {
 	runs, delivered, failed int
 }
 
-func (c *countingProbe) BeginRun(netsim.RunInfo)              { c.runs++ }
-func (c *countingProbe) StepEnd(int, []int)                   {}
-func (c *countingProbe) FlitMoved(int, int32, int32)          {}
-func (c *countingProbe) FlitDelivered(int, int32)             {}
-func (c *countingProbe) FlitsDropped(int, int32, int)         {}
+func (c *countingProbe) BeginRun(netsim.RunInfo)      { c.runs++ }
+func (c *countingProbe) StepEnd(int, []int)           {}
+func (c *countingProbe) FlitMoved(int, int32, int32)  {}
+func (c *countingProbe) FlitDelivered(int, int32)     {}
+func (c *countingProbe) FlitsDropped(int, int32, int) {}
 func (c *countingProbe) MsgDone(step int, msg int32, ok bool) {
 	if ok {
 		c.delivered++
