@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt build vet staticcheck test test-short race bench experiments examples fuzz-short cover clean
+.PHONY: all check fmt build vet staticcheck test-patterns test test-short race bench experiments examples fuzz-short cover clean
 
 all: check
 
@@ -13,7 +13,7 @@ all: check
 # fan-out are concurrent, so -race is part of the gate, not an extra;
 # the core package's parallel-build tests force multiple workers
 # regardless of host core count).
-check: fmt build vet staticcheck test race
+check: fmt build vet staticcheck test-patterns test race
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt:
@@ -34,6 +34,27 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# Fails when a test pattern a gate relies on matches nothing: go test
+# exits 0 both for a -fuzz pattern that names no fuzz test ("no fuzz
+# tests to fuzz") and for a -run pattern that matches no test. Every
+# -fuzz= target in fuzz-short must match exactly one fuzz test of its
+# package, and the CI race step's -run pattern must match at least one
+# test in each package it lists.
+test-patterns:
+	@$(MAKE) -s -n fuzz-short | while read -r line; do \
+		fuzz=$$(echo "$$line" | sed -n 's/.*-fuzz=\([^ ]*\).*/\1/p'); pkg=$${line##* }; \
+		n=$$($(GO) test -list "$$fuzz" $$pkg | grep -c '^Fuzz'); \
+		if [ "$$n" != 1 ]; then echo "fuzz-short: -fuzz=$$fuzz matches $$n fuzz tests in $$pkg, want 1"; exit 1; fi; \
+	done
+	@step=$$(grep -e "go test -race -run '" .github/workflows/ci.yml); \
+	run=$$(echo "$$step" | sed -n "s/.*-run '\([^']*\)'.*/\1/p"); \
+	pkgs=$$(echo "$$step" | sed -n "s/.*-run '[^']*' //p"); \
+	if [ -z "$$run" ] || [ -z "$$pkgs" ]; then echo "ci.yml: race step -run pattern not found"; exit 1; fi; \
+	for pkg in $$pkgs; do \
+		n=$$($(GO) test -list "$$run" $$pkg | grep -cE '^(Test|Fuzz|Example)'); \
+		if [ "$$n" = 0 ]; then echo "ci.yml race step: -run '$$run' matches no test in $$pkg"; exit 1; fi; \
+	done
 
 test:
 	$(GO) test ./...

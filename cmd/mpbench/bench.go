@@ -54,10 +54,14 @@ type benchReport struct {
 func measureEngineSpeedup() *speedupReport {
 	q := hypercube.New(8)
 	rng := rand.New(rand.NewSource(11))
-	perm := netsim.RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
 	var sets [][]*netsim.Message
 	for _, M := range []int{8, 32, 128} {
-		sets = append(sets, netsim.PermutationMessages(q, perm, M))
+		msgs, err := ecubeMessages(q, perm, M)
+		if err != nil {
+			panic(err) // valid permutation and flits; cannot fail
+		}
+		sets = append(sets, msgs)
 	}
 	sweep := func(sim func([]*netsim.Message, netsim.Mode) (*netsim.Result, error)) time.Duration {
 		var best time.Duration

@@ -11,6 +11,7 @@ import (
 	"multipath/internal/grid"
 	"multipath/internal/hamdecomp"
 	"multipath/internal/netsim"
+	"multipath/internal/routing"
 	"multipath/internal/traffic"
 	"multipath/internal/xproduct"
 )
@@ -323,6 +324,12 @@ func runE11() (*table, error) {
 	return t, nil
 }
 
+// ecubeMessages is the §7 single-path baseline: one flits-flit e-cube
+// message per node, node i addressing perm[i].
+func ecubeMessages(q *multipath.Hypercube, perm []int, flits int) ([]*netsim.Message, error) {
+	return routing.Templates(routing.NewDimOrder(q), q, routing.PermutationPairs(perm), flits, 0)
+}
+
 func runE12() (*table, error) {
 	t := &table{headers: []string{"M (flits)", "store-and-forward e-cube", "CCC copies, pipelined", "speedup"}}
 	const n = 4
@@ -331,9 +338,13 @@ func runE12() (*table, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(42))
-	perm := netsim.RandomPermutation(rng, mc.Host.Nodes())
+	perm := rng.Perm(mc.Host.Nodes())
 	for _, M := range []int{16, 32, 64, 128, 256} {
-		sf, err := netsim.Simulate(netsim.PermutationMessages(mc.Host, perm, M), netsim.StoreAndForward)
+		ecube, err := ecubeMessages(mc.Host, perm, M)
+		if err != nil {
+			return nil, err
+		}
+		sf, err := netsim.Simulate(ecube, netsim.StoreAndForward)
 		if err != nil {
 			return nil, err
 		}
@@ -483,17 +494,21 @@ func runE17() (*table, error) {
 	t := &table{headers: []string{"M (flits)", "store-and-forward", "cut-through", "wormhole (held channels)"}}
 	q := multipath.NewHypercube(8)
 	rng := rand.New(rand.NewSource(11))
-	perm := netsim.RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
 	for _, M := range []int{8, 32, 128} {
-		sf, err := netsim.Simulate(netsim.PermutationMessages(q, perm, M), netsim.StoreAndForward)
+		ecube, err := ecubeMessages(q, perm, M)
 		if err != nil {
 			return nil, err
 		}
-		ct, err := netsim.Simulate(netsim.PermutationMessages(q, perm, M), netsim.CutThrough)
+		sf, err := netsim.Simulate(ecube, netsim.StoreAndForward)
 		if err != nil {
 			return nil, err
 		}
-		wh, err := netsim.SimulateWormhole(netsim.PermutationMessages(q, perm, M))
+		ct, err := netsim.Simulate(ecube, netsim.CutThrough)
+		if err != nil {
+			return nil, err
+		}
+		wh, err := netsim.SimulateWormhole(ecube)
 		if err != nil {
 			return nil, err
 		}
@@ -508,6 +523,10 @@ func runE18() (*table, error) {
 	rng := rand.New(rand.NewSource(99))
 	for _, n := range []int{8, 10, 12} {
 		q := multipath.NewHypercube(n)
+		transpose, err := traffic.TransposePermutation(n)
+		if err != nil {
+			return nil, err
+		}
 		// Fixed iteration order: the rng is shared across permutations,
 		// so map-order iteration would make the Valiant rows
 		// nondeterministic from run to run.
@@ -515,21 +534,23 @@ func runE18() (*table, error) {
 			name string
 			perm []int
 		}{
-			{"bit-reversal", netsim.BitReversalPermutation(n)},
-			{"transpose", netsim.TransposePermutation(n)},
+			{"bit-reversal", traffic.BitReversalPermutation(n)},
+			{"transpose", transpose},
 		} {
 			name, perm := pc.name, pc.perm
-			direct := netsim.PermutationMessages(q, perm, 4)
-			valiant := netsim.ValiantMessages(q, perm, 4, rng)
-			dr, err := netsim.Simulate(netsim.PermutationMessages(q, perm, 4), netsim.CutThrough)
+			direct, err := ecubeMessages(q, perm, 4)
 			if err != nil {
 				return nil, err
 			}
-			vmsgs := make([]*netsim.Message, len(valiant))
-			for i, m := range valiant {
-				vmsgs[i] = &netsim.Message{Route: m.Route, Flits: m.Flits}
+			valiant, err := routing.DrawTemplates(routing.NewValiant(q), q, routing.PermutationPairs(perm), 4, rng)
+			if err != nil {
+				return nil, err
 			}
-			vr, err := netsim.Simulate(vmsgs, netsim.CutThrough)
+			dr, err := netsim.Simulate(direct, netsim.CutThrough)
+			if err != nil {
+				return nil, err
+			}
+			vr, err := netsim.Simulate(valiant, netsim.CutThrough)
 			if err != nil {
 				return nil, err
 			}
@@ -546,11 +567,11 @@ func runE19() (*table, error) {
 	for _, n := range []int{6, 8} {
 		q := multipath.NewHypercube(n)
 		for _, B := range []int{256, 1024} {
-			single, err := netsim.BroadcastMessages(q, B, false)
+			single, err := traffic.BroadcastMessages(q, B, false)
 			if err != nil {
 				return nil, err
 			}
-			multi, err := netsim.BroadcastMessages(q, B, true)
+			multi, err := traffic.BroadcastMessages(q, B, true)
 			if err != nil {
 				return nil, err
 			}

@@ -126,7 +126,8 @@ func run(n, flits int, seed int64, strategy string, obs bool, tracePath string, 
 	}
 	q := mc.Host
 	rng := rand.New(rand.NewSource(seed))
-	perm := netsim.RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
+	pairs := routing.PermutationPairs(perm)
 	fmt.Printf("host Q_%d (%d nodes), %d-flit messages, random permutation (seed %d)\n",
 		q.Dims(), q.Nodes(), flits, seed)
 
@@ -136,21 +137,25 @@ func run(n, flits int, seed int64, strategy string, obs bool, tracePath string, 
 	// the historical seed→route mapping.
 	var entries []strategyEntry
 	want := func(name string) bool { return strategy == "all" || strategy == name }
+	ecube, err := routing.Templates(routing.NewDimOrder(q), q, pairs, flits, seed)
+	if err != nil {
+		return err
+	}
 	if want("ecube-sf") {
-		entries = append(entries, strategyEntry{name: "ecube-sf",
-			msgs: netsim.PermutationMessages(q, perm, flits), mode: netsim.StoreAndForward})
+		entries = append(entries, strategyEntry{name: "ecube-sf", msgs: ecube, mode: netsim.StoreAndForward})
 	}
 	if want("ecube-ct") {
-		entries = append(entries, strategyEntry{name: "ecube-ct",
-			msgs: netsim.PermutationMessages(q, perm, flits), mode: netsim.CutThrough})
+		entries = append(entries, strategyEntry{name: "ecube-ct", msgs: ecube, mode: netsim.CutThrough})
 	}
 	if want("ecube-wh") {
-		entries = append(entries, strategyEntry{name: "ecube-wh", wormhole: true,
-			msgs: netsim.PermutationMessages(q, perm, flits)})
+		entries = append(entries, strategyEntry{name: "ecube-wh", wormhole: true, msgs: ecube})
 	}
 	if want("valiant") {
-		entries = append(entries, strategyEntry{name: "valiant",
-			msgs: netsim.ValiantMessages(q, perm, flits, rng), mode: netsim.CutThrough})
+		msgs, err := routing.DrawTemplates(routing.NewValiant(q), q, pairs, flits, rng)
+		if err != nil {
+			return fmt.Errorf("valiant: %w", err)
+		}
+		entries = append(entries, strategyEntry{name: "valiant", msgs: msgs, mode: netsim.CutThrough})
 	}
 	if want("ccc") {
 		msgs, err := traffic.MultiCopyCCCMessages(mc, n, perm, flits)
@@ -175,7 +180,6 @@ func run(n, flits int, seed int64, strategy string, obs bool, tracePath string, 
 		if strategy != z.name {
 			continue
 		}
-		pairs := routing.PermutationPairs(perm)
 		msgs, err := routing.Templates(z.mk(), q, pairs, flits, seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", z.name, err)

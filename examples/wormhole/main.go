@@ -23,13 +23,18 @@ func main() {
 	}
 	q := mc.Host
 	rng := rand.New(rand.NewSource(7))
-	perm := netsim.RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
+	demand := multipath.PermutationDemand(perm)
 	fmt.Printf("random permutation on Q_%d (%d nodes), %d CCC copies (congestion 2)\n\n",
 		q.Dims(), q.Nodes(), len(mc.Copies))
 
 	fmt.Println("   M   store&fwd   pipelined-CCC   speedup")
 	for _, M := range []int{32, 64, 128, 256} {
-		sf, err := netsim.Simulate(netsim.PermutationMessages(q, perm, M), netsim.StoreAndForward)
+		ecube, err := multipath.StrategyTemplates(multipath.NewDimOrder(q), q, demand, M, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sf, err := netsim.Simulate(ecube, netsim.StoreAndForward)
 		if err != nil {
 			log.Fatal(err)
 		}

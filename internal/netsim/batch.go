@@ -20,7 +20,7 @@ type BatchJob struct {
 }
 
 // SimulateBatch runs independent simulations across GOMAXPROCS worker
-// goroutines, each holding a pooled Engine for the whole batch so
+// goroutines, each holding a pooled engine for the whole batch so
 // scratch buffers amortize across jobs. results[i] corresponds to
 // jobs[i] regardless of scheduling, and every simulation is itself
 // deterministic, so the output is identical to running the jobs
@@ -60,7 +60,7 @@ func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 				if jobs[i].Shards > 1 {
 					results[i], errs[i] = SimulateSharded(jobs[i].Msgs, jobs[i].Mode, jobs[i].Shards)
 				} else {
-					results[i], errs[i] = e.Simulate(jobs[i].Msgs, jobs[i].Mode)
+					results[i], errs[i] = e.simulate(jobs[i].Msgs, OpenLoopOpts{Mode: jobs[i].Mode})
 				}
 			}
 		}()

@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// Engine is the reusable high-throughput core behind every simulate
+// engine is the reusable high-throughput core behind every simulate
 // entry point. All per-run state lives in flat, densely indexed slices
-// that are grown once and reused across runs, so a warm Engine performs
+// that are grown once and reused across runs, so a warm engine performs
 // no per-step (and almost no per-run) allocation:
 //
 //   - A numbering pass over the message routes assigns each distinct
@@ -25,13 +25,11 @@ import (
 // first queued request with an available flit crosses; requests
 // enqueued on the same step are ordered by message id (then hop).
 //
-// An Engine is not safe for concurrent use. The package-level Simulate
-// and SimulateBatch draw Engines from a bounded free list, which is the
-// recommended entry point: up to GOMAXPROCS engines, each with buffers
-// sized to the largest run it has served, stay alive across GCs, so a
-// warm entry point does not regrow them. Hold a private Engine only
-// when a single goroutine runs many simulations back to back.
-type Engine struct {
+// An engine is not safe for concurrent use. Every package-level entry
+// point draws engines from a bounded free list: up to GOMAXPROCS
+// engines, each with buffers sized to the largest run it has served,
+// stay alive across GCs, so a warm entry point does not regrow them.
+type engine struct {
 	// Link-id numbering. The dense table path is used for the common
 	// case of small non-negative external ids (hypercube EdgeIDs are
 	// already dense); sparse or negative id spaces fall back to a map.
@@ -111,9 +109,9 @@ type Engine struct {
 	probe Probe
 }
 
-// NewEngine returns an empty Engine; buffers grow on first use.
-func NewEngine() *Engine {
-	return &Engine{sparse: make(map[int]int32)}
+// newEngine returns an empty engine; buffers grow on first use.
+func newEngine() *engine {
+	return &engine{sparse: make(map[int]int32)}
 }
 
 // stepLimit bounds a legitimate run: once a message has fully crossed
@@ -144,7 +142,7 @@ type routeShape struct {
 // starts here, so flit validation and numbering cannot
 // drift between them. A warm engine performs no allocation in this
 // pass (pinned by TestNumberAllNoAllocs).
-func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
+func (e *engine) numberAll(msgs []*Message) (routeShape, error) {
 	var sh routeShape
 	minID, maxID := 0, -1
 	seen := false
@@ -171,12 +169,13 @@ func (e *Engine) numberAll(msgs []*Message) (routeShape, error) {
 	return sh, nil
 }
 
-// Simulate runs the synchronous simulation on this Engine's scratch
+// simulate runs the synchronous simulation on this engine's scratch
 // buffers: the step loop of SimulateOpenLoop with every message
-// arriving at step 0. Semantics and results are identical to
-// SimulateReference; see the package documentation for the model.
-func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
-	olr, err := e.openLoop(msgs, nil, OpenLoopOpts{Mode: mode}, closedRun{burst: true})
+// arriving at step 0, under opts' mode and probe. Semantics and
+// results are identical to SimulateReference; see the package
+// documentation for the model.
+func (e *engine) simulate(msgs []*Message, opts OpenLoopOpts) (*Result, error) {
+	olr, err := e.openLoop(msgs, nil, opts, closedRun{burst: true})
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +184,7 @@ func (e *Engine) Simulate(msgs []*Message, mode Mode) (*Result, error) {
 
 // number runs the contiguous link-numbering pass, filling off, route,
 // posMsg, and returns the number of distinct links.
-func (e *Engine) number(msgs []*Message, total, minID, maxID int) int32 {
+func (e *engine) number(msgs []*Message, total, minID, maxID int) int32 {
 	e.off = grow(e.off, len(msgs)+1)
 	e.route = grow(e.route, total)
 	e.posMsg = grow(e.posMsg, total)
@@ -241,7 +240,7 @@ func (e *Engine) number(msgs []*Message, total, minID, maxID int) int32 {
 
 // growState sizes and resets the per-link and worklist scratch for a
 // run over the given number of links.
-func (e *Engine) growState(links int) {
+func (e *engine) growState(links int) {
 	e.qhead = grow(e.qhead, links)
 	e.qtail = grow(e.qtail, links)
 	e.credit = grow(e.credit, links)
@@ -260,7 +259,7 @@ func (e *Engine) growState(links int) {
 
 // addCredit records c newly sendable flits on link l, scheduling the
 // link into the next step's worklist on a zero→positive transition.
-func (e *Engine) addCredit(l int32, c int) {
+func (e *engine) addCredit(l int32, c int) {
 	if e.credit[l] == 0 && c > 0 && !e.inWork[l] {
 		e.inWork[l] = true
 		e.work = append(e.work, l)

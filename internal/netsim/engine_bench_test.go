@@ -18,9 +18,9 @@ import (
 func BenchmarkNetsimEngine(b *testing.B) {
 	q12 := hypercube.New(12)
 	rng := rand.New(rand.NewSource(7))
-	ctMsgs := PermutationMessages(q12, RandomPermutation(rng, q12.Nodes()), 256)
+	ctMsgs := permMessages(q12, rng.Perm(q12.Nodes()), 256)
 	q10 := hypercube.New(10)
-	sfMsgs := PermutationMessages(q10, RandomPermutation(rng, q10.Nodes()), 256)
+	sfMsgs := permMessages(q10, rng.Perm(q10.Nodes()), 256)
 
 	run := func(b *testing.B, sim func([]*Message, Mode) (*Result, error), msgs []*Message, mode Mode) {
 		b.ReportAllocs()
@@ -52,7 +52,7 @@ func BenchmarkSimulateBatch(b *testing.B) {
 	jobs := make([]BatchJob, 32)
 	for i := range jobs {
 		jobs[i] = BatchJob{
-			Msgs: PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 32),
+			Msgs: permMessages(q, rng.Perm(q.Nodes()), 32),
 			Mode: CutThrough,
 		}
 	}

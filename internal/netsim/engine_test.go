@@ -8,10 +8,11 @@ import (
 	"multipath/internal/hypercube"
 )
 
-// Golden equivalence: the dense worklist Engine must produce
+// Golden equivalence: the dense worklist engine must produce
 // bit-identical Results to the retained seed simulator on every
-// workload class the package is used for — permutation traffic,
-// width-spread paths, broadcasts, and adversarial random route sets.
+// workload class the package is used for — permutation traffic and
+// adversarial random route sets here; internal/traffic's tests add the
+// width-spread path and broadcast classes.
 func TestEngineMatchesReference(t *testing.T) {
 	type load struct {
 		name string
@@ -38,18 +39,9 @@ func TestEngineMatchesReference(t *testing.T) {
 	q := hypercube.New(6)
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 4; trial++ {
-		perm := RandomPermutation(rng, q.Nodes())
-		loads = append(loads, load{"perm", PermutationMessages(q, perm, 2+3*trial)})
+		perm := rng.Perm(q.Nodes())
+		loads = append(loads, load{"perm", permMessages(q, perm, 2+3*trial)})
 	}
-
-	// Width-spread embedding paths now come from internal/traffic (which
-	// imports this package); traffic's tests re-run this equivalence
-	// check on that workload class.
-	bm, err := BroadcastMessages(q, 96, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads = append(loads, load{"broadcast", bm})
 
 	for trial := 0; trial < 40; trial++ {
 		r := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -82,17 +74,17 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// A single Engine reused across runs of different shapes must behave
+// A single engine reused across runs of different shapes must behave
 // exactly like a fresh one (scratch reset, link renumbering, pooling).
 func TestEngineReuseAcrossRuns(t *testing.T) {
-	e := NewEngine()
+	e := newEngine()
 	q := hypercube.New(5)
 	rng := rand.New(rand.NewSource(3))
 	workloads := [][]*Message{
-		PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 8),
+		permMessages(q, rng.Perm(q.Nodes()), 8),
 		{{Route: []int{999999}, Flits: 2}}, // sparse id after dense run
 		{{Route: []int{1, 2, 3}, Flits: 4}, {Route: nil, Flits: 1}},
-		PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 3),
+		permMessages(q, rng.Perm(q.Nodes()), 3),
 	}
 	for i, msgs := range workloads {
 		for _, mode := range []Mode{StoreAndForward, CutThrough} {
@@ -100,7 +92,7 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Simulate(msgs, mode)
+			got, err := e.simulate(msgs, OpenLoopOpts{Mode: mode})
 			if err != nil {
 				t.Fatalf("workload %d: %v", i, err)
 			}
@@ -191,7 +183,7 @@ func TestSimulateBatchMatchesSerial(t *testing.T) {
 			mode = StoreAndForward
 		}
 		jobs = append(jobs, BatchJob{
-			Msgs: PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 1+i%5),
+			Msgs: permMessages(q, rng.Perm(q.Nodes()), 1+i%5),
 			Mode: mode,
 		})
 	}

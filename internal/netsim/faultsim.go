@@ -34,8 +34,7 @@ type FaultOpts struct {
 	// offset+1, offset+2, ...
 	StepOffset int
 	// Probe, when non-nil, receives observation events for this run
-	// (see probe.go). It takes precedence over a probe attached with
-	// Engine.SetProbe. Attaching a probe never changes the FaultResult.
+	// (see probe.go). Attaching a probe never changes the FaultResult.
 	Probe Probe
 }
 
@@ -83,24 +82,17 @@ type FaultResult struct {
 // (injected flit-hops are either moved or dropped), and
 // DeliveredMsgs + FailedMsgs == len(msgs).
 //
-// Like Simulate, this entry point borrows a pooled Engine and is safe
-// for concurrent use.
+// Like Simulate, this entry point borrows a pooled engine and is safe
+// for concurrent use. It is the step loop of SimulateOpenLoop with
+// every message arriving at step 0 and each message's verdict recorded
+// in Outcomes. With a nil schedule and zero StepLimit the run is
+// bit-identical to Simulate (same arbitration, same Result), guarded
+// by regression and fuzz tests.
 func SimulateFaults(msgs []*Message, mode Mode, opts FaultOpts) (*FaultResult, error) {
-	e := engines.get()
-	fr, err := e.SimulateFaults(msgs, mode, opts)
-	engines.put(e)
-	return fr, err
-}
-
-// SimulateFaults is the Engine-level fault-aware simulate path; see
-// the package-level SimulateFaults for the semantics. It is the step
-// loop of SimulateOpenLoop with every message arriving at step 0 and
-// each message's verdict recorded in Outcomes. With a nil schedule and
-// zero StepLimit the run is bit-identical to Simulate (same
-// arbitration, same Result), guarded by regression and fuzz tests.
-func (e *Engine) SimulateFaults(msgs []*Message, mode Mode, opts FaultOpts) (*FaultResult, error) {
 	fr := &FaultResult{Outcomes: make([]Outcome, len(msgs))}
+	e := engines.get()
 	olr, err := e.openLoop(msgs, nil, closedOpts(mode, opts), closedRun{burst: true, outcomes: fr.Outcomes, offset: opts.StepOffset})
+	engines.put(e)
 	if err != nil {
 		return nil, err
 	}

@@ -61,9 +61,9 @@ func checkConservation(t *testing.T, msgs []*Message, fr *FaultResult) {
 func TestSimulateFaultsFaultFreeBitIdentical(t *testing.T) {
 	q := hypercube.New(6)
 	rng := rand.New(rand.NewSource(3))
-	perm := RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
 	for _, flits := range []int{1, 7, 32} {
-		msgs := PermutationMessages(q, perm, flits)
+		msgs := permMessages(q, perm, flits)
 		for _, mode := range []Mode{StoreAndForward, CutThrough} {
 			want, err := Simulate(msgs, mode)
 			if err != nil {
@@ -158,8 +158,8 @@ func TestTransientFaultDelays(t *testing.T) {
 func TestFaultsElsewhereChangeNothing(t *testing.T) {
 	q := hypercube.New(5)
 	rng := rand.New(rand.NewSource(8))
-	perm := RandomPermutation(rng, q.Nodes())
-	msgs := PermutationMessages(q, perm, 9)
+	perm := rng.Perm(q.Nodes())
+	msgs := permMessages(q, perm, 9)
 	used := make(map[int]bool)
 	for _, m := range msgs {
 		for _, id := range m.Route {
@@ -227,7 +227,7 @@ func TestNodeFaultThroughSchedule(t *testing.T) {
 	v := hypercube.Node(3)
 	sched := faults.NewSchedule().FailNode(q, v, 1)
 	src, dst := hypercube.Node(0), hypercube.Node(15)
-	through := ECubeRoute(q, src, dst) // e-cube from 0 ascends via node 3
+	through := ecubeRoute(q, src, dst) // e-cube from 0 ascends via node 3
 	crosses := false
 	for _, id := range through {
 		if down, _ := sched.Status(id, 1); down {
@@ -237,7 +237,7 @@ func TestNodeFaultThroughSchedule(t *testing.T) {
 	if !crosses {
 		t.Fatal("test route does not cross the failed node")
 	}
-	avoid := ECubeRoute(q, hypercube.Node(4), hypercube.Node(12))
+	avoid := ecubeRoute(q, hypercube.Node(4), hypercube.Node(12))
 	for _, id := range avoid {
 		if down, _ := sched.Status(id, 1); down {
 			t.Fatal("avoid route crosses the failed node")

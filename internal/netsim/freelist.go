@@ -6,7 +6,7 @@ import (
 )
 
 // freeList is a bounded stack of reusable values. Unlike a sync.Pool,
-// garbage collection does not empty it, so a warm Engine keeps buffers
+// garbage collection does not empty it, so a warm engine keeps buffers
 // sized to the largest run it has served across GCs. It holds at most
 // GOMAXPROCS values: get on an empty list builds a new one, and put on
 // a full list drops the value for the collector.
@@ -37,9 +37,9 @@ func (l *freeList[T]) put(x *T) {
 	l.mu.Unlock()
 }
 
-// engines holds the idle Engines of every pooled entry point, and
+// engines holds the idle engines of every pooled entry point, and
 // shardedEngines those of the sharded ones.
 var (
-	engines        = freeList[Engine]{build: NewEngine}
-	shardedEngines = freeList[olSharded]{build: func() *olSharded { return &olSharded{e: NewEngine()} }}
+	engines        = freeList[engine]{build: newEngine}
+	shardedEngines = freeList[olSharded]{build: func() *olSharded { return &olSharded{e: newEngine()} }}
 )

@@ -32,7 +32,7 @@ func mallocsOnce(f func()) uint64 {
 func TestEngineSurvivesGC(t *testing.T) {
 	q := hypercube.New(6)
 	rng := rand.New(rand.NewSource(5))
-	msgs := PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 3)
+	msgs := permMessages(q, rng.Perm(q.Nodes()), 3)
 	run := func() {
 		if _, err := Simulate(msgs, CutThrough); err != nil {
 			panic(err)
@@ -68,7 +68,7 @@ func TestEngineSurvivesGC(t *testing.T) {
 	var jobs []BatchJob
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, BatchJob{
-			Msgs:   PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 1+i%3),
+			Msgs:   permMessages(q, rng.Perm(q.Nodes()), 1+i%3),
 			Mode:   Mode(i % 2),
 			Shards: i % 3, // some jobs borrow sharded engines too
 

@@ -21,7 +21,7 @@ func TestTwoPhaseXRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(23))
-	perm := netsim.RandomPermutation(rng, r.Nodes())
+	perm := rng.Perm(r.Nodes())
 	routes, err := r.PermutationRoutes(perm)
 	if err != nil {
 		t.Fatal(err)

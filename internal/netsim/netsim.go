@@ -18,17 +18,20 @@
 //
 // Routes are sequences of directed link ids (any dense numbering).
 // Each link carries one flit per step; contention resolves FIFO by
-// arrival step, ties by message id (deterministic).
+// arrival step, ties by message id (deterministic). The simulator has
+// no route policy and knows no topology: internal/routing builds the
+// single-path routes (e-cube, Valiant, ...) and internal/traffic the
+// pattern, broadcast and embedding-derived message sets it runs.
 //
-// The simulation core is a dense, worklist-driven Engine: a numbering
+// The simulation core is a dense, worklist-driven engine: a numbering
 // pass gives links contiguous ids, per-link FIFOs live in flat reusable
 // slices, and each step touches only links that can move a flit. There
 // is one store-and-forward / cut-through step loop per topology — the
 // serial loop of SimulateOpenLoop and the sharded loop of
 // SimulateOpenLoopSharded — and the closed-loop entry points (Simulate,
 // SimulateFaults, SimulateSharded, ...) run them with every message
-// arriving at step 0. Simulate draws Engines from a bounded free
-// list that garbage collection does not empty: up to GOMAXPROCS
+// arriving at step 0. Every entry point draws engines from a bounded
+// free list that garbage collection does not empty: up to GOMAXPROCS
 // engines, each with buffers sized to the largest run it has served,
 // stay alive across GCs. SimulateBatch fans independent simulations
 // out across GOMAXPROCS workers. The original map-scanning simulator is retained as
@@ -97,10 +100,10 @@ type Result struct {
 // work so legitimate runs never hit it (see stepLimit).
 //
 // Simulate is safe for concurrent use: each call borrows a pooled
-// Engine, so scratch buffers are reused across calls without locking.
+// engine, so scratch buffers are reused across calls without locking.
 func Simulate(msgs []*Message, mode Mode) (*Result, error) {
 	e := engines.get()
-	res, err := e.Simulate(msgs, mode)
+	res, err := e.simulate(msgs, OpenLoopOpts{Mode: mode})
 	engines.put(e)
 	return res, err
 }
@@ -113,4 +116,21 @@ func countEmptyRoutes(msgs []*Message) int {
 		}
 	}
 	return n
+}
+
+// MaxLinkLoad returns the maximum number of messages whose route uses
+// any single directed link — the static congestion that lower-bounds
+// completion time.
+func MaxLinkLoad(msgs []*Message) int {
+	load := make(map[int]int)
+	max := 0
+	for _, m := range msgs {
+		for _, id := range m.Route {
+			load[id]++
+			if load[id] > max {
+				max = load[id]
+			}
+		}
+	}
+	return max
 }

@@ -73,25 +73,27 @@ func TestSimulateEmptyRouteAndErrors(t *testing.T) {
 	}
 }
 
+// The test-local e-cube builder behind the permutation workloads.
 func TestECubeRoute(t *testing.T) {
 	q := hypercube.New(4)
-	r := ECubeRoute(q, 0b0000, 0b1010)
+	r := ecubeRoute(q, 0b0000, 0b1010)
 	if len(r) != 2 {
 		t.Fatalf("route %v", r)
 	}
 	if r[0] != q.EdgeID(0b0000, 1) || r[1] != q.EdgeID(0b0010, 3) {
 		t.Errorf("route %v", r)
 	}
-	if len(ECubeRoute(q, 5, 5)) != 0 {
+	if len(ecubeRoute(q, 5, 5)) != 0 {
 		t.Error("self route not empty")
 	}
 }
 
+// Permutation traffic from the test-local builder delivers every message.
 func TestPermutationMessages(t *testing.T) {
 	q := hypercube.New(3)
 	rng := rand.New(rand.NewSource(1))
-	perm := RandomPermutation(rng, 8)
-	msgs := PermutationMessages(q, perm, 4)
+	perm := rng.Perm(8)
+	msgs := permMessages(q, perm, 4)
 	if len(msgs) != 8 {
 		t.Fatalf("%d messages", len(msgs))
 	}
@@ -107,9 +109,9 @@ func TestPermutationMessages(t *testing.T) {
 func BenchmarkSimulatePermutation(b *testing.B) {
 	q := hypercube.New(8)
 	rng := rand.New(rand.NewSource(3))
-	perm := RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
 	for i := 0; i < b.N; i++ {
-		msgs := PermutationMessages(q, perm, 16)
+		msgs := permMessages(q, perm, 16)
 		if _, err := Simulate(msgs, CutThrough); err != nil {
 			b.Fatal(err)
 		}

@@ -219,22 +219,16 @@ type OpenLoopResult struct {
 	TimedOut bool
 }
 
-// SimulateOpenLoop runs the open-loop simulation on a pooled Engine:
+// SimulateOpenLoop runs the open-loop simulation on a pooled engine:
 // arrivals drawn from src instantiate route templates from tmpls and
 // run under the same synchronous link model as Simulate. See
 // OpenLoopOpts and the file comment for the contract. Like Simulate,
 // it is safe for concurrent use.
 func SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*OpenLoopResult, error) {
 	e := engines.get()
-	olr, err := e.SimulateOpenLoop(tmpls, src, opts)
+	olr, err := e.openLoop(tmpls, src, opts, closedRun{})
 	engines.put(e)
 	return olr, err
-}
-
-// SimulateOpenLoop is the Engine-level open-loop path; see the
-// package-level SimulateOpenLoop.
-func (e *Engine) SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*OpenLoopResult, error) {
-	return e.openLoop(tmpls, src, opts, closedRun{})
 }
 
 // closedRun is what a closed-loop entry point hands the step loops
@@ -356,7 +350,7 @@ func (r *olRun) closedLimit(shape routeShape, horizon int) int {
 
 // runInfo is the probe's view of the run: the message total is known
 // up front only for a closed-loop burst.
-func (r *olRun) runInfo(e *Engine, links int32) RunInfo {
+func (r *olRun) runInfo(e *engine, links int32) RunInfo {
 	msgs := -1
 	if r.burst {
 		msgs = len(r.tmpls)
@@ -366,7 +360,7 @@ func (r *olRun) runInfo(e *Engine, links int32) RunInfo {
 
 // openLoop is the serial step loop behind every single-goroutine
 // store-and-forward and cut-through entry point.
-func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, cl closedRun) (*OpenLoopResult, error) {
+func (e *engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, cl closedRun) (*OpenLoopResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -389,13 +383,10 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 	}
 
 	e.growState(int(links))
-	oldProbe := e.probe
-	if opts.Probe != nil {
-		e.probe = opts.Probe
-	}
+	e.probe = opts.Probe
 	defer func() {
 		e.res = nil
-		e.probe = oldProbe
+		e.probe = nil
 	}()
 	if e.probe != nil || opts.Faults != nil {
 		e.fillExt(tmpls, links)
@@ -593,7 +584,7 @@ func (e *Engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 // state, and it has no probe call site: the probe hears about the
 // step's moves and deliveries from olProbeMoves and olProbeDeliveries,
 // which replay the batches in the order the loops produced them.
-func (e *Engine) olTransfer(cur, arr, down []int32, faults LinkFaults, offset, step int) ([]int32, []int32) {
+func (e *engine) olTransfer(cur, arr, down []int32, faults LinkFaults, offset, step int) ([]int32, []int32) {
 	for _, l := range cur {
 		if e.credit[l] <= 0 {
 			e.inWork[l] = false
@@ -653,7 +644,7 @@ func (e *Engine) olTransfer(cur, arr, down []int32, faults LinkFaults, offset, s
 
 // olProbeMoves reports the step's flit moves to the probe, in move
 // order: position p crossed link olRoute[p].
-func (e *Engine) olProbeMoves(arr []int32, step int) {
+func (e *engine) olProbeMoves(arr []int32, step int) {
 	for _, p := range arr {
 		e.probe.FlitMoved(step, e.olSlotMsg[e.olPosSlot[p]], e.olRoute[p])
 	}
@@ -663,7 +654,7 @@ func (e *Engine) olProbeMoves(arr []int32, step int) {
 // completions to the probe, in arrival order. It runs after the kill
 // phase (a killed slot's flits do not deliver) and before olArrive
 // releases the completed slots.
-func (e *Engine) olProbeDeliveries(arr []int32, killed bool, step int) {
+func (e *engine) olProbeDeliveries(arr []int32, killed bool, step int) {
 	for _, p := range arr {
 		s := e.olPosSlot[p]
 		if p+1 != e.olSlotEnd[s] || killed && e.olSlotDead[s] {
@@ -684,7 +675,7 @@ func (e *Engine) olProbeDeliveries(arr []int32, killed bool, step int) {
 // requests join a FIFO is observable, so the caller sorts enq. Each
 // position arrives at most once per step, so enq is duplicate-free.
 // killed reports that this step's kill phase failed a slot.
-func (e *Engine) olArrive(r *olRun, arr, enq []int32, killed bool, step int) []int32 {
+func (e *engine) olArrive(r *olRun, arr, enq []int32, killed bool, step int) []int32 {
 	mode := r.opts.Mode
 	for _, p := range arr {
 		s := e.olPosSlot[p]
@@ -728,7 +719,7 @@ func (e *Engine) olArrive(r *olRun, arr, enq []int32, killed bool, step int) []i
 // olPosCmp orders an enqueue batch by (message id, hop) — the
 // documented FIFO tie-break — through the slot table, for runs in which
 // recycled slots made position order history-dependent.
-func (e *Engine) olPosCmp(a, b int32) int {
+func (e *engine) olPosCmp(a, b int32) int {
 	sa, sb := e.olPosSlot[a], e.olPosSlot[b]
 	if ma, mb := e.olSlotMsg[sa], e.olSlotMsg[sb]; ma != mb {
 		if ma < mb {
@@ -747,7 +738,7 @@ func (e *Engine) olPosCmp(a, b int32) int {
 // first olRelease that needs them, so a run that never recycles (every
 // closed-loop run) never touches them. Shared by the serial and sharded
 // loops.
-func (e *Engine) olReset() {
+func (e *engine) olReset() {
 	e.olSlotTmpl = e.olSlotTmpl[:0]
 	e.olSlotOff = e.olSlotOff[:0]
 	e.olSlotEnd = e.olSlotEnd[:0]
@@ -768,7 +759,7 @@ func (e *Engine) olReset() {
 
 // olFreeInit sizes and empties the per-template free lists for a run
 // over ntmpl templates.
-func (e *Engine) olFreeInit(ntmpl int) {
+func (e *engine) olFreeInit(ntmpl int) {
 	if cap(e.olFree) < ntmpl {
 		e.olFree = append(e.olFree[:cap(e.olFree)], make([][]int32, ntmpl-cap(e.olFree))...)
 	}
@@ -788,7 +779,7 @@ func (e *Engine) olFreeInit(ntmpl int) {
 // no listener, so no slot is ever added by olNewSlot, the only reader
 // of the template routes once a run has started). Empty-route templates
 // keep a zero-length slot that never goes live.
-func (e *Engine) olBurst(r *olRun, enqueue func(p int32)) {
+func (e *engine) olBurst(r *olRun, enqueue func(p int32)) {
 	n := len(r.tmpls)
 	total := int(e.off[n])
 	e.olRoute, e.route = e.route[:total], e.olRoute[:0]
@@ -839,7 +830,7 @@ func (e *Engine) olBurst(r *olRun, enqueue func(p int32)) {
 // olInject injects the pending arrival at step and returns the base
 // position to enqueue, or -1 for an empty-route template (delivered on
 // the spot, latency 0).
-func (e *Engine) olInject(r *olRun, step int) (int32, error) {
+func (e *engine) olInject(r *olRun, step int) (int32, error) {
 	t := r.pending.Tmpl
 	if t < 0 || int(t) >= len(r.tmpls) {
 		return -1, fmt.Errorf("netsim: arrival %d names template %d of %d", r.nextMsg, t, len(r.tmpls))
@@ -884,7 +875,7 @@ func (e *Engine) olInject(r *olRun, step int) (int32, error) {
 }
 
 // olDeliverEmpty completes an empty-route message at its arrival step.
-func (e *Engine) olDeliverEmpty(r *olRun, msg int32, step int) {
+func (e *engine) olDeliverEmpty(r *olRun, msg int32, step int) {
 	r.olr.DeliveredMsgs++
 	if e.probe != nil {
 		e.probe.MsgDone(step, msg, true)
@@ -903,7 +894,7 @@ func (e *Engine) olDeliverEmpty(r *olRun, msg int32, step int) {
 // olDeliver completes the message in slot s, whose last flit arrived at
 // step, and releases the slot. The probe's delivery events are the
 // caller's (the sharded engine emits them in its canonical flush).
-func (e *Engine) olDeliver(r *olRun, s int32, step int) {
+func (e *engine) olDeliver(r *olRun, s int32, step int) {
 	msg, arrival := e.olSlotMsg[s], e.olSlotArr[s]
 	r.olr.DeliveredMsgs++
 	if r.opts.Sink != nil && arrival >= r.opts.MeasureAfter {
@@ -922,7 +913,7 @@ func (e *Engine) olDeliver(r *olRun, s int32, step int) {
 // slot goes back on its template's free list only while another arrival
 // can still claim it: one is pending, or a listener may schedule
 // reroutes that a re-poll picks up.
-func (e *Engine) olRelease(r *olRun, s int32) {
+func (e *engine) olRelease(r *olRun, s int32) {
 	r.live--
 	r.inFlight -= int(e.olSlotFl[s])
 	e.olSlotMsg[s] = -1
@@ -938,7 +929,7 @@ func (e *Engine) olRelease(r *olRun, s int32) {
 // olNewSlot appends a fresh slot for template t to the arena, copying
 // the template's dense route once. Append growth (not grow()) because
 // the arena must survive reallocation with contents intact.
-func (e *Engine) olNewSlot(t int32, flits int) int32 {
+func (e *engine) olNewSlot(t int32, flits int) int32 {
 	s := int32(len(e.olSlotTmpl))
 	base := int32(len(e.olRoute))
 	e.olSlotTmpl = append(e.olSlotTmpl, t)
@@ -963,7 +954,7 @@ func (e *Engine) olNewSlot(t int32, flits int) int32 {
 
 // olEnqueue appends position p to its link's FIFO, updates the peak
 // queue metric, and activates the link if p brings sendable flits.
-func (e *Engine) olEnqueue(p int32) {
+func (e *engine) olEnqueue(p int32) {
 	l := e.olRoute[p]
 	if e.qtail[l] < 0 {
 		e.qhead[l] = p
@@ -990,7 +981,7 @@ func (e *Engine) olEnqueue(p int32) {
 // queued on l at two hops (routes can repeat a link); olFailSlot's dead
 // check keeps the kill idempotent. Killed slots are appended to
 // olKilled; ev is as for olFailSlot.
-func (e *Engine) olKillQueued(r *olRun, l int32, step int, ev *[]killEvent) {
+func (e *engine) olKillQueued(r *olRun, l int32, step int, ev *[]killEvent) {
 	if r.opts.Listener != nil {
 		r.opts.Listener.LinkDown(step, e.ext[l], true)
 	}
@@ -1018,7 +1009,7 @@ func (e *Engine) olKillQueued(r *olRun, l int32, step int, ev *[]killEvent) {
 // canonical order (the sharded engine). Idempotent per step; the
 // caller recycles the slot once the arrival phase has seen the dead
 // flag. Reports whether this call did the kill.
-func (e *Engine) olFailSlot(r *olRun, s int32, step, blame int, ev *[]killEvent) bool {
+func (e *engine) olFailSlot(r *olRun, s int32, step, blame int, ev *[]killEvent) bool {
 	if e.olSlotDead[s] {
 		return false
 	}
@@ -1062,7 +1053,7 @@ func (e *Engine) olFailSlot(r *olRun, s int32, step, blame int, ev *[]killEvent)
 
 // olUnlink removes position p from dense link l's intrusive FIFO by
 // walking from the head (queues are short; kills are rare).
-func (e *Engine) olUnlink(l, p int32) {
+func (e *engine) olUnlink(l, p int32) {
 	prev := int32(-1)
 	q := e.qhead[l]
 	for q >= 0 && q != p {

@@ -31,7 +31,7 @@ import (
 //     In the synchronous model an active network moves a flit every
 //     step, so global quiescence is exactly the single-shard leap
 //     condition.
-//   - Slot recycling: the arena stays a single Engine-owned structure;
+//   - Slot recycling: the arena stays a single engine-owned structure;
 //     slots are allocated (injection) and recycled (delivery, kill,
 //     timeout) only inside barrier actions, so the per-template free
 //     lists need no synchronization and a warm run allocates nothing
@@ -49,12 +49,12 @@ import (
 // canonicalized (single-shard order is worklist-dependent), which the
 // equivalence suite checks with order-insensitive stream comparisons.
 
-// olSharded bundles an Engine (template numbering and the slot arena)
+// olSharded bundles an engine (template numbering and the slot arena)
 // with the partition, barrier, arrival stream, and per-shard states of
 // one run. Everything below the barrier is written only during setup
 // or inside barrier actions.
 type olSharded struct {
-	e      *Engine
+	e      *engine
 	bar    stepBarrier
 	states []*shardState
 	owner  []uint8
@@ -94,8 +94,8 @@ type olSharded struct {
 // untouched, and negative shard counts are an error. Probing is
 // opts.Probe, as in SimulateOpenLoop.
 func SimulateOpenLoopSharded(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, shards int) (*OpenLoopResult, error) {
-	if shards < 0 {
-		return nil, fmt.Errorf("netsim: negative shard count %d", shards)
+	if err := checkShards(shards); err != nil {
+		return nil, err
 	}
 	if shards <= 1 {
 		return SimulateOpenLoop(tmpls, src, opts)
@@ -111,8 +111,8 @@ func SimulateOpenLoopSharded(tmpls []*Message, src ArrivalSource, opts OpenLoopO
 // per-shard conservation invariant FlitsMoved + DroppedFlits ==
 // InjectedHops over the injected prefix).
 func SimulateOpenLoopShardedStats(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, shards int) (*OpenLoopResult, []ShardStat, error) {
-	if shards < 0 {
-		return nil, nil, fmt.Errorf("netsim: negative shard count %d", shards)
+	if err := checkShards(shards); err != nil {
+		return nil, nil, err
 	}
 	sh := shardedEngines.get()
 	olr, stats, err := sh.run(tmpls, src, opts, closedRun{}, shards, true)

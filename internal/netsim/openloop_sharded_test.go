@@ -375,7 +375,7 @@ func TestOpenLoopShardedErrors(t *testing.T) {
 // closures, the replay cursor) stays under 96 allocations for 4000
 // messages.
 func TestOpenLoopShardedAllocs(t *testing.T) {
-	sh := &olSharded{e: NewEngine()}
+	sh := &olSharded{e: newEngine()}
 	tmpls := permTemplates(t, 4, 2, 23)
 	const n = 4000
 	tr := &Trace{}

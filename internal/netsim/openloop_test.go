@@ -97,7 +97,7 @@ func permTemplates(t *testing.T, n, flits int, seed int64) []*Message {
 	t.Helper()
 	q := hypercube.New(n)
 	rng := rand.New(rand.NewSource(seed))
-	return PermutationMessages(q, RandomPermutation(rng, q.Nodes()), flits)
+	return permMessages(q, rng.Perm(q.Nodes()), flits)
 }
 
 // allAtZero builds the trace that injects template i as message i at
@@ -248,11 +248,11 @@ func TestOpenLoopFastPathSwitchOver(t *testing.T) {
 		if early == 0 {
 			t.Fatalf("%v: nothing delivered before the kill; the run never started on the fast paths", mode)
 		}
-		e := NewEngine()
-		if _, err := e.Simulate(tmpls, mode); err != nil {
+		e := newEngine()
+		if _, err := e.simulate(tmpls, OpenLoopOpts{Mode: mode}); err != nil {
 			t.Fatal(err)
 		}
-		again, err := e.SimulateOpenLoop(tmpls, tr.Source(), opts)
+		again, err := e.openLoop(tmpls, tr.Source(), opts, closedRun{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,13 +370,13 @@ func TestOpenLoopGracefulTimeout(t *testing.T) {
 // in-flight window, not the injected total: 200 sequential transfers
 // reuse one slot.
 func TestOpenLoopRecycling(t *testing.T) {
-	e := NewEngine()
+	e := newEngine()
 	tmpls := []*Message{{Route: []int{0, 1, 2}, Flits: 2}}
 	tr := &Trace{}
 	for i := 0; i < 200; i++ {
 		tr.Arrivals = append(tr.Arrivals, Arrival{Step: i * 10, Tmpl: 0})
 	}
-	opt, err := e.SimulateOpenLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough})
+	opt, err := e.openLoop(tmpls, tr.Source(), OpenLoopOpts{Mode: CutThrough}, closedRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestOpenLoopRecycling(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		burst.Arrivals = append(burst.Arrivals, Arrival{Step: 0, Tmpl: 0})
 	}
-	opt, err = e.SimulateOpenLoop(tmpls, burst.Source(), OpenLoopOpts{Mode: CutThrough})
+	opt, err = e.openLoop(tmpls, burst.Source(), OpenLoopOpts{Mode: CutThrough}, closedRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +582,7 @@ func TestRecordArrivals(t *testing.T) {
 // injects 4000 messages; the per-run constant (result struct, a few
 // escaping closures, the replay cursor) stays under 64 allocations.
 func TestOpenLoopAllocs(t *testing.T) {
-	e := NewEngine()
+	e := newEngine()
 	tmpls := permTemplates(t, 4, 2, 23)
 	const n = 4000
 	tr := &Trace{}
@@ -590,11 +590,11 @@ func TestOpenLoopAllocs(t *testing.T) {
 		tr.Arrivals = append(tr.Arrivals, Arrival{Step: i / 4, Tmpl: int32(i % len(tmpls))})
 	}
 	opts := OpenLoopOpts{Mode: CutThrough}
-	if _, err := e.SimulateOpenLoop(tmpls, tr.Source(), opts); err != nil {
+	if _, err := e.openLoop(tmpls, tr.Source(), opts, closedRun{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := e.SimulateOpenLoop(tmpls, tr.Source(), opts); err != nil {
+		if _, err := e.openLoop(tmpls, tr.Source(), opts, closedRun{}); err != nil {
 			t.Fatal(err)
 		}
 	})

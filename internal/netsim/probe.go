@@ -7,7 +7,7 @@ package netsim
 // instead of only the end-of-run aggregates in Result.
 //
 // The contract with the hot path is strict: every probe call site in
-// the engines is guarded by a nil-check on a single Engine field, so a
+// the engines is guarded by a nil-check on a single engine field, so a
 // run with no probe attached is bit-identical to the pre-probe engine
 // and pays only untaken branches (asserted by the equivalence fuzzers
 // and the overhead benchmark in probe_overhead_test.go). All the
@@ -65,19 +65,11 @@ type RunInfo struct {
 	Wormhole bool
 }
 
-// SetProbe attaches a probe to this Engine (nil detaches). It applies
-// to subsequent Simulate/SimulateFaults/SimulateWormhole calls on this
-// Engine; FaultOpts.Probe, when non-nil, takes precedence for that
-// run.
-func (e *Engine) SetProbe(p Probe) { e.probe = p }
-
 // SimulateProbed is Simulate with an observation probe attached for
 // the duration of the run. Results are bit-identical to Simulate.
 func SimulateProbed(msgs []*Message, mode Mode, p Probe) (*Result, error) {
 	e := engines.get()
-	e.probe = p
-	res, err := e.Simulate(msgs, mode)
-	e.probe = nil
+	res, err := e.simulate(msgs, OpenLoopOpts{Mode: mode, Probe: p})
 	engines.put(e)
 	return res, err
 }
@@ -97,7 +89,7 @@ func SimulateWormholeProbed(msgs []*Message, p Probe) (*WormholeResult, error) {
 // over the routes. The fault path always needs it (fault queries and
 // blame are in external ids); the fault-free paths build it only for
 // an attached probe.
-func (e *Engine) fillExt(msgs []*Message, links int32) {
+func (e *engine) fillExt(msgs []*Message, links int32) {
 	e.ext = grow(e.ext, int(links))
 	pos := 0
 	for _, m := range msgs {
@@ -110,7 +102,7 @@ func (e *Engine) fillExt(msgs []*Message, links int32) {
 
 // beginProbe emits the run-shape and step-0 completion events common
 // to all three engine paths.
-func (e *Engine) beginProbe(msgs []*Message, links int32, mode Mode, wormhole bool) {
+func (e *engine) beginProbe(msgs []*Message, links int32, mode Mode, wormhole bool) {
 	e.probe.BeginRun(RunInfo{
 		Messages: len(msgs),
 		Links:    int(links),

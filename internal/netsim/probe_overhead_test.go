@@ -17,7 +17,7 @@ import (
 // (olTransfer, olArrive) have no probe sites and are shared, as are the
 // cold helpers. If the step loop changes, this copy must be updated to
 // match (TestProbeOffEquivalentToBaseline catches semantic drift).
-func (e *Engine) simulateBaseline(msgs []*Message, mode Mode) (*Result, error) {
+func (e *engine) simulateBaseline(msgs []*Message, mode Mode) (*Result, error) {
 	olr, err := e.baselineLoop(msgs, nil, OpenLoopOpts{Mode: mode}, closedRun{burst: true})
 	if err != nil {
 		return nil, err
@@ -25,7 +25,7 @@ func (e *Engine) simulateBaseline(msgs []*Message, mode Mode) (*Result, error) {
 	return &olr.Result, nil
 }
 
-func (e *Engine) baselineLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, cl closedRun) (*OpenLoopResult, error) {
+func (e *engine) baselineLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts, cl closedRun) (*OpenLoopResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -245,7 +245,7 @@ func overheadWorkload() []*Message {
 func TestProbeOffEquivalentToBaseline(t *testing.T) {
 	msgs := overheadWorkload()
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {
-		e := NewEngine()
+		e := newEngine()
 		base, err := e.simulateBaseline(msgs, mode)
 		if err != nil {
 			t.Fatal(err)
@@ -264,13 +264,13 @@ func TestProbeOffEquivalentToBaseline(t *testing.T) {
 // SimulateWormhole likewise allocates only its WormholeResult.
 func TestSimulateAllocs(t *testing.T) {
 	msgs := overheadWorkload()
-	e := NewEngine()
-	if _, err := e.Simulate(msgs, CutThrough); err != nil { // warm buffers
+	e := newEngine()
+	if _, err := e.simulate(msgs, OpenLoopOpts{Mode: CutThrough}); err != nil { // warm buffers
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {
 		n := testing.AllocsPerRun(10, func() {
-			if _, err := e.Simulate(msgs, mode); err != nil {
+			if _, err := e.simulate(msgs, OpenLoopOpts{Mode: mode}); err != nil {
 				t.Error(err)
 			}
 		})
@@ -317,15 +317,15 @@ func TestProbeOffOverhead(t *testing.T) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	msgs := overheadWorkload()
-	e := NewEngine()
+	e := newEngine()
 	eBase, eCur := e, e
-	run := func(e *Engine, baseline bool) time.Duration {
+	run := func(e *engine, baseline bool) time.Duration {
 		start := time.Now()
 		var err error
 		if baseline {
 			_, err = e.simulateBaseline(msgs, CutThrough)
 		} else {
-			_, err = e.Simulate(msgs, CutThrough)
+			_, err = e.simulate(msgs, OpenLoopOpts{Mode: CutThrough})
 		}
 		d := time.Since(start)
 		if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 // SimulateReference is the original map-scanning simulator, retained
-// verbatim as the golden model for the dense Engine: equivalence tests
+// verbatim as the golden model for the dense engine: equivalence tests
 // (TestEngineMatchesReference, FuzzSimulate) assert that Simulate
 // produces bit-identical Results, and BenchmarkNetsimEngine measures
 // the speedup against it. Its only change from the seed implementation

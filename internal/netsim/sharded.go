@@ -1,6 +1,9 @@
 package netsim
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // This file is the partitioned ("sharded") engine's shared machinery
 // and its closed-loop entry points. The dense contiguous link-id space
@@ -53,10 +56,23 @@ import "sync"
 //     link moves at most one flit per step and a message delivers at
 //     most one flit per step, so the sort keys are unique.
 
+// checkShards rejects a negative shard count, the one shard count no
+// sharded entry point accepts.
+func checkShards(shards int) error {
+	if shards < 0 {
+		return fmt.Errorf("netsim: negative shard count %d", shards)
+	}
+	return nil
+}
+
 // SimulateSharded is Simulate partitioned across shards worker
 // goroutines. Results are bit-identical to Simulate for every shard
-// count; shards <= 1 takes the serial path untouched.
+// count; shards <= 1 takes the serial path untouched, and negative
+// shard counts are an error.
 func SimulateSharded(msgs []*Message, mode Mode, shards int) (*Result, error) {
+	if err := checkShards(shards); err != nil {
+		return nil, err
+	}
 	if shards <= 1 {
 		return Simulate(msgs, mode)
 	}
@@ -72,6 +88,9 @@ func SimulateSharded(msgs []*Message, mode Mode, shards int) (*Result, error) {
 // deterministic link-id (moves) and message-id (deliveries) order, so
 // p observes one canonical stream equivalent to the serial one.
 func SimulateShardedProbed(msgs []*Message, mode Mode, shards int, p Probe) (*Result, error) {
+	if err := checkShards(shards); err != nil {
+		return nil, err
+	}
 	if shards <= 1 {
 		return SimulateProbed(msgs, mode, p)
 	}
@@ -90,6 +109,9 @@ func SimulateShardedProbed(msgs []*Message, mode Mode, shards int, p Probe) (*Re
 // FaultResult is bit-identical for every shard count. FaultOpts.Probe
 // is honored as a merged probe.
 func SimulateFaultsSharded(msgs []*Message, mode Mode, opts FaultOpts, shards int) (*FaultResult, error) {
+	if err := checkShards(shards); err != nil {
+		return nil, err
+	}
 	if shards <= 1 {
 		return SimulateFaults(msgs, mode, opts)
 	}

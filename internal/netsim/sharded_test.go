@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"multipath/internal/faults"
@@ -23,9 +24,9 @@ var shardCounts = []int{2, 3, 8, 64}
 func shardedWorkloads() map[string][]*Message {
 	q := hypercube.New(5)
 	rng := rand.New(rand.NewSource(7))
-	perm := RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
 	w := map[string][]*Message{
-		"permutation-q5": PermutationMessages(q, perm, 3),
+		"permutation-q5": permMessages(q, perm, 3),
 		"chain": {
 			{Route: []int{0, 1, 2, 3}, Flits: 5},
 			{Route: []int{3, 2, 1, 0}, Flits: 5},
@@ -308,7 +309,7 @@ func TestShardedProbedFaultFree(t *testing.T) {
 // closedShardedStats runs a closed-loop burst through the sharded step
 // loop with the per-shard accounting on.
 func closedShardedStats(msgs []*Message, opts OpenLoopOpts, shards int) (*OpenLoopResult, []ShardStat, error) {
-	sh := &olSharded{e: NewEngine()}
+	sh := &olSharded{e: newEngine()}
 	return sh.run(msgs, nil, opts, closedRun{burst: true}, shards, true)
 }
 
@@ -427,8 +428,8 @@ func TestShardedErrorPaths(t *testing.T) {
 func TestNumberAllNoAllocs(t *testing.T) {
 	q := hypercube.New(4)
 	rng := rand.New(rand.NewSource(3))
-	msgs := PermutationMessages(q, RandomPermutation(rng, q.Nodes()), 2)
-	e := NewEngine()
+	msgs := permMessages(q, rng.Perm(q.Nodes()), 2)
+	e := newEngine()
 	if _, err := e.numberAll(msgs); err != nil {
 		t.Fatal(err)
 	}
@@ -439,5 +440,44 @@ func TestNumberAllNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("numberAll allocates %v per run on a warm engine", allocs)
+	}
+}
+
+// Every sharded entry point rejects a negative shard count with the
+// same error instead of silently running serially.
+func TestNegativeShardCountRejected(t *testing.T) {
+	msgs := []*Message{{Route: []int{0, 1}, Flits: 2}}
+	src := func() ArrivalSource { return (&Trace{Arrivals: []Arrival{{0, 0}}}).Source() }
+	const shards = -3
+	for name, run := range map[string]func() error{
+		"SimulateSharded": func() error {
+			_, err := SimulateSharded(msgs, CutThrough, shards)
+			return err
+		},
+		"SimulateShardedProbed": func() error {
+			_, err := SimulateShardedProbed(msgs, CutThrough, shards, &recordingProbe{})
+			return err
+		},
+		"SimulateFaultsSharded": func() error {
+			_, err := SimulateFaultsSharded(msgs, CutThrough, FaultOpts{}, shards)
+			return err
+		},
+		"SimulateOpenLoopSharded": func() error {
+			_, err := SimulateOpenLoopSharded(msgs, src(), OpenLoopOpts{}, shards)
+			return err
+		},
+		"SimulateOpenLoopShardedStats": func() error {
+			_, _, err := SimulateOpenLoopShardedStats(msgs, src(), OpenLoopOpts{}, shards)
+			return err
+		},
+		"SimulateBatch": func() error {
+			_, err := SimulateBatch([]BatchJob{{Msgs: msgs, Mode: CutThrough, Shards: shards}})
+			return err
+		},
+	} {
+		err := run()
+		if err == nil || !strings.HasSuffix(err.Error(), "negative shard count -3") {
+			t.Errorf("%s: err = %v, want a negative shard count error", name, err)
+		}
 	}
 }

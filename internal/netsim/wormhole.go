@@ -12,7 +12,7 @@ import "fmt"
 // flit movement) and reports it; dimension-ordered (e-cube) routes are
 // provably deadlock-free and pass cleanly.
 //
-// Like the Engine behind Simulate, the implementation numbers links
+// Like the engine behind Simulate, the implementation numbers links
 // densely up front and keeps all per-link and per-message state in
 // flat slices: channel holders, waiter FIFOs (intrusive lists — a
 // message waits on at most one link at a time), and flit counts are
@@ -47,7 +47,7 @@ func (e *ErrDeadlock) Error() string {
 // completion or deadlock. Link arbitration is FIFO by request step,
 // ties broken by message id.
 //
-// Like Simulate, it borrows a pooled Engine: the generation-stamped
+// Like Simulate, it borrows a pooled engine: the generation-stamped
 // link-numbering pass and all per-run scratch are reused across calls,
 // so a warm call allocates nothing beyond the result.
 func SimulateWormhole(msgs []*Message) (*WormholeResult, error) {
@@ -57,9 +57,9 @@ func SimulateWormhole(msgs []*Message) (*WormholeResult, error) {
 	return res, err
 }
 
-func (e *Engine) simulateWormhole(msgs []*Message) (*WormholeResult, error) {
+func (e *engine) simulateWormhole(msgs []*Message) (*WormholeResult, error) {
 	// Dense link numbering over the routes (the same numberAll pass as
-	// Engine.Simulate; ids are assigned in first-appearance order,
+	// the buffered step loops; ids are assigned in first-appearance order,
 	// matching the original map-based pass) and flat position state.
 	shape, err := e.numberAll(msgs)
 	if err != nil {

@@ -97,8 +97,8 @@ func TestWormholeECubeDeadlockFree(t *testing.T) {
 	q := hypercube.New(6)
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
-		perm := RandomPermutation(rng, q.Nodes())
-		msgs := PermutationMessages(q, perm, 8)
+		perm := rng.Perm(q.Nodes())
+		msgs := permMessages(q, perm, 8)
 		r, err := SimulateWormhole(msgs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -118,8 +118,8 @@ func TestWormholeECubeDeadlockFree(t *testing.T) {
 func TestWormholeMatchesFlitConservation(t *testing.T) {
 	q := hypercube.New(5)
 	rng := rand.New(rand.NewSource(5))
-	perm := RandomPermutation(rng, q.Nodes())
-	msgs := PermutationMessages(q, perm, 4)
+	perm := rng.Perm(q.Nodes())
+	msgs := permMessages(q, perm, 4)
 	r, err := SimulateWormhole(msgs)
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +152,9 @@ func TestWormholeEmptyRoutes(t *testing.T) {
 func BenchmarkWormholePermutation(b *testing.B) {
 	q := hypercube.New(8)
 	rng := rand.New(rand.NewSource(3))
-	perm := RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
 	for i := 0; i < b.N; i++ {
-		msgs := PermutationMessages(q, perm, 16)
+		msgs := permMessages(q, perm, 16)
 		if _, err := SimulateWormhole(msgs); err != nil {
 			b.Fatal(err)
 		}
@@ -168,8 +168,8 @@ func BenchmarkWormholePermutation(b *testing.B) {
 func BenchmarkSimulateWormhole(b *testing.B) {
 	q := hypercube.New(8)
 	rng := rand.New(rand.NewSource(3))
-	perm := RandomPermutation(rng, q.Nodes())
-	msgs := PermutationMessages(q, perm, 16)
+	perm := rng.Perm(q.Nodes())
+	msgs := permMessages(q, perm, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

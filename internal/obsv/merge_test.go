@@ -42,7 +42,7 @@ func TestHistogramMerge(t *testing.T) {
 func TestRecorderOpenLoopShardedEqualsSingleShard(t *testing.T) {
 	q := hypercube.New(4)
 	rng := rand.New(rand.NewSource(23))
-	tmpls := netsim.PermutationMessages(q, rng.Perm(q.Nodes()), 3)
+	tmpls := permMessages(q, rng.Perm(q.Nodes()), 3)
 	tr := &netsim.Trace{}
 	for i := range tmpls {
 		tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: (i / 3) * 2, Tmpl: int32(i)})

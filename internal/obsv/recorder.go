@@ -61,8 +61,9 @@ func (s LinkQueueStat) Mean() float64 {
 // read as per-round latency distributions.
 //
 // A Recorder accumulates across runs until discarded; it is not safe
-// for concurrent use (a probe observes one engine, which is itself
-// single-goroutine). The sharded engines fit that contract by merging
+// for concurrent use. A probe is attached per run (OpenLoopOpts.Probe,
+// FaultOpts.Probe, or a *Probed entry point), and a serial run is
+// single-goroutine. The sharded engines fit that contract by merging
 // their workers' events at each step barrier:
 // netsim.SimulateShardedProbed and netsim.SimulateOpenLoopSharded
 // deliver one canonically ordered stream to a single Recorder, so

@@ -15,7 +15,7 @@ import (
 func TestRecorderReset(t *testing.T) {
 	q := hypercube.New(4)
 	rng := rand.New(rand.NewSource(3))
-	msgs := netsim.PermutationMessages(q, netsim.RandomPermutation(rng, q.Nodes()), 4)
+	msgs := permMessages(q, rng.Perm(q.Nodes()), 4)
 
 	for _, opts := range []RecorderOpts{{}, {LinkUtil: true, UtilCap: 32}} {
 		used := NewRecorderOpts(opts)

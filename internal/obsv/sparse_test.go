@@ -328,7 +328,7 @@ func hotTraffic(n int, seed int64, msgs, flits int) ([]*netsim.Message, *netsim.
 		if src == dst {
 			dst ^= 1
 		}
-		tmpls = append(tmpls, &netsim.Message{Route: netsim.ECubeRoute(q, src, dst), Flits: flits})
+		tmpls = append(tmpls, &netsim.Message{Route: ecubeRoute(q, src, dst), Flits: flits})
 		if i%8 != 7 { // templates that never arrive add links that never queue
 			tr.Arrivals = append(tr.Arrivals, netsim.Arrival{Step: i / 4, Tmpl: int32(i)})
 		}

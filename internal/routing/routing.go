@@ -10,21 +10,22 @@
 // open-loop measurement windows (Adaptive). E29 (cmd/mpbench) runs the
 // head-to-head.
 //
-// Template provenance, not engine semantics: a Strategy only decides
-// which dense edge ids a message's route lists. The netsim engine is
-// untouched — the same route handed to it by any builder simulates
-// bit-identically, which the regression tests pin by rebuilding the
-// historical netsim.PermutationMessages / netsim.ValiantMessages
-// workloads through the Strategy interface and comparing both the
-// routes and the simulation results.
+// This package is the repository's one route library: the §7
+// single-path baselines (E12, E17, E18, routesim, the examples) draw
+// their e-cube and Valiant routes from DimOrder and Valiant; netsim
+// only simulates the routes it is handed. Template provenance, not
+// engine semantics: a Strategy only decides which dense edge ids a
+// message's route lists, and the tests pin DimOrder and Valiant
+// against an independent e-cube oracle.
 //
 // Determinism: every strategy draws randomness only from the *rand.Rand
-// passed to Route, and the batch builder (Templates) derives that rng
+// passed to Route. The batch builder DrawTemplates threads the caller's
+// rng through every route in pair order, and Templates derives that rng
 // from an explicit seed, so a (strategy, pairs, seed) triple always
 // rebuilds the same templates — the replay contract E29's
 // seed-replayable points rest on. Stateful strategies (MinimalOblivious
 // load tables, Adaptive costs) evolve deterministically too: state
-// updates happen in Route, which Templates calls in pair order.
+// updates happen in Route, which the batch builder calls in pair order.
 package routing
 
 import (
@@ -58,8 +59,7 @@ type Pair struct {
 
 // PermutationPairs converts a permutation (node i → perm[i]) into the
 // pair list the batch builder consumes, keeping fixed points as
-// zero-hop pairs so template indexing matches the historical
-// netsim.PermutationMessages layout.
+// zero-hop pairs so template i is node i's message.
 func PermutationPairs(perm []int) []Pair {
 	pairs := make([]Pair, len(perm))
 	for i, p := range perm {
@@ -74,10 +74,16 @@ func PermutationPairs(perm []int) []Pair {
 // race consume. The same (s-state, pairs, flits, seed) always rebuilds
 // identical templates.
 func Templates(s Strategy, q *hypercube.Q, pairs []Pair, flits int, seed int64) ([]*netsim.Message, error) {
+	return DrawTemplates(s, q, pairs, flits, rand.New(rand.NewSource(seed)))
+}
+
+// DrawTemplates is Templates drawing from the caller's rng, for callers
+// that thread one stream through several builds (E18 and routesim draw
+// their Valiant sets after the permutation from the same rng).
+func DrawTemplates(s Strategy, q *hypercube.Q, pairs []Pair, flits int, rng *rand.Rand) ([]*netsim.Message, error) {
 	if flits < 1 {
 		return nil, fmt.Errorf("routing: templates need at least 1 flit, got %d", flits)
 	}
-	rng := rand.New(rand.NewSource(seed))
 	msgs := make([]*netsim.Message, len(pairs))
 	for i, p := range pairs {
 		if !q.Contains(p.Src) || !q.Contains(p.Dst) {
@@ -94,7 +100,7 @@ func Templates(s Strategy, q *hypercube.Q, pairs []Pair, flits int, seed int64) 
 }
 
 // appendDimOrder appends the ascending-dimension (e-cube) route from
-// src to dst — the id-for-id twin of netsim.ECubeRoute.
+// src to dst.
 func appendDimOrder(q *hypercube.Q, out []int32, src, dst hypercube.Node) []int32 {
 	cur := src
 	for d := 0; d < q.Dims(); d++ {
@@ -108,8 +114,7 @@ func appendDimOrder(q *hypercube.Q, out []int32, src, dst hypercube.Node) []int3
 
 // DimOrder is deterministic e-cube routing: fix the differing bits in
 // ascending dimension order. The deadlock-free classic, and the
-// baseline every rival is normalized against — its routes are exactly
-// netsim.ECubeRoute's.
+// baseline every rival is normalized against.
 type DimOrder struct {
 	q *hypercube.Q
 }
@@ -134,9 +139,8 @@ func (d *DimOrder) Route(src, dst hypercube.Node, _ *rand.Rand) []int32 {
 // random intermediate node, then e-cube to the destination. With high
 // probability no link carries more than O(1) times the average load on
 // any permutation — the standard fix for e-cube's adversarial
-// patterns. The rng draw order (one Intn per route) matches
-// netsim.ValiantMessages, so the same seed rebuilds the historical
-// message sets id for id.
+// patterns. Each Route call draws exactly one Intn, fixed points
+// included, so a permutation's routes depend only on the rng stream.
 type Valiant struct {
 	q *hypercube.Q
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"multipath/internal/bitutil"
 	"multipath/internal/hypercube"
 	"multipath/internal/netsim"
 )
@@ -61,59 +62,161 @@ func TestRoutesAreValidWalks(t *testing.T) {
 	}
 }
 
-// Bit-identity regression (template provenance vs engine semantics):
-// DimOrder templates rebuild netsim.PermutationMessages route for
-// route, and simulating either set gives identical results — attaching
-// the strategy layer changes nothing about the engine.
-func TestDimOrderBitIdenticalToPermutationMessages(t *testing.T) {
-	q := hypercube.New(6)
-	perm := netsim.RandomPermutation(rand.New(rand.NewSource(3)), q.Nodes())
-	want := netsim.PermutationMessages(q, perm, 4)
-	got, err := Templates(NewDimOrder(q), q, PermutationPairs(perm), 4, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d templates, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i].Route, want[i].Route) && !(len(got[i].Route) == 0 && len(want[i].Route) == 0) {
-			t.Fatalf("msg %d: route %v, want %v", i, got[i].Route, want[i].Route)
+// ecubeOracle is an independent e-cube reference for DimOrder and
+// Valiant: it fixes the differing bits from lowest to highest and names
+// each hop's link by its endpoints through q.EdgeBetween, not by the
+// EdgeID arithmetic the strategies use.
+func ecubeOracle(t *testing.T, q *hypercube.Q, src, dst hypercube.Node) []int32 {
+	t.Helper()
+	var out []int32
+	for d := 0; d < q.Dims(); d++ {
+		if (src^dst)>>uint(d)&1 == 0 {
+			continue
 		}
-		if got[i].Flits != want[i].Flits {
-			t.Fatalf("msg %d: flits %d, want %d", i, got[i].Flits, want[i].Flits)
-		}
-	}
-	for _, mode := range []netsim.Mode{netsim.StoreAndForward, netsim.CutThrough} {
-		rw, err := netsim.Simulate(want, mode)
+		next := src ^ 1<<uint(d)
+		id, err := q.EdgeBetween(src, next)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := netsim.Simulate(got, mode)
-		if err != nil {
-			t.Fatal(err)
+		out = append(out, int32(id))
+		src = next
+	}
+	return out
+}
+
+func sameRoute(a []int32, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if int(a[i]) != b[i] {
+			return false
 		}
-		if *rw != *rg {
-			t.Errorf("%v: strategy-built run diverged: %+v vs %+v", mode, rg, rw)
+	}
+	return true
+}
+
+// DimOrder is e-cube routing: it equals the oracle on every ordered
+// pair of Q_4 and Q_5, and on the hand-computed 0000→1010 route
+// (dimension 1 out of 0000, then dimension 3 out of 0010).
+func TestDimOrderMatchesECubeOracle(t *testing.T) {
+	for _, n := range []int{4, 5} {
+		q := hypercube.New(n)
+		s := NewDimOrder(q)
+		for src := hypercube.Node(0); int(src) < q.Nodes(); src++ {
+			for dst := hypercube.Node(0); int(dst) < q.Nodes(); dst++ {
+				got, want := s.Route(src, dst, nil), ecubeOracle(t, q, src, dst)
+				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("Q_%d %d→%d: route %v, want %v", n, src, dst, got, want)
+				}
+			}
 		}
+	}
+	q := hypercube.New(4)
+	r := NewDimOrder(q).Route(0b0000, 0b1010, nil)
+	if len(r) != 2 || int(r[0]) != q.EdgeID(0b0000, 1) || int(r[1]) != q.EdgeID(0b0010, 3) {
+		t.Errorf("0000→1010: route %v", r)
+	}
+	if len(NewDimOrder(q).Route(5, 5, nil)) != 0 {
+		t.Error("self route not empty")
 	}
 }
 
-// Bit-identity regression: Valiant with the historical rng draw order
-// rebuilds netsim.ValiantMessages from the same seed.
-func TestValiantBitIdenticalToValiantMessages(t *testing.T) {
+// Valiant is the oracle routed via midpoints drawn from the caller's
+// rng, one Intn per pair — fixed points included, so the stream stays
+// aligned with the pair index. Templates is DrawTemplates on a fresh
+// rng seeded by seed.
+func TestValiantMatchesECubeOracleViaMidpoints(t *testing.T) {
 	q := hypercube.New(6)
-	perm := netsim.RandomPermutation(rand.New(rand.NewSource(4)), q.Nodes())
+	pairs := PermutationPairs(rand.New(rand.NewSource(4)).Perm(q.Nodes()))
+	pairs = append(pairs, Pair{Src: 9, Dst: 9}, Pair{Src: 0, Dst: 0})
 	const seed = 42
-	want := netsim.ValiantMessages(q, perm, 3, rand.New(rand.NewSource(seed)))
-	got, err := Templates(NewValiant(q), q, PermutationPairs(perm), 3, seed)
+	rng := rand.New(rand.NewSource(seed))
+	got, err := DrawTemplates(NewValiant(q), q, pairs, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i].Route, want[i].Route) && !(len(got[i].Route) == 0 && len(want[i].Route) == 0) {
-			t.Fatalf("msg %d: route %v, want %v", i, got[i].Route, want[i].Route)
+	ref := rand.New(rand.NewSource(seed))
+	for i, p := range pairs {
+		mid := hypercube.Node(ref.Intn(q.Nodes()))
+		want := append(ecubeOracle(t, q, p.Src, mid), ecubeOracle(t, q, mid, p.Dst)...)
+		if !sameRoute(want, got[i].Route) || got[i].Flits != 3 {
+			t.Fatalf("pair %d (%d→%d via %d): %+v, want route %v", i, p.Src, p.Dst, mid, got[i], want)
 		}
+	}
+	if rng.Int63() != ref.Int63() {
+		t.Error("DrawTemplates consumed more than one Intn per pair")
+	}
+	seeded, err := Templates(NewValiant(q), q, pairs, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seeded, got) {
+		t.Error("Templates differs from DrawTemplates on the same seed")
+	}
+}
+
+// The §7 context made measurable: deterministic e-cube routing has
+// adversarial permutations with Θ(√N) link congestion; Valiant's random
+// intermediate flattens it to near the average.
+func TestValiantBeatsECubeOnBitReversal(t *testing.T) {
+	const n = 12
+	q := hypercube.New(n)
+	perm := make([]int, q.Nodes())
+	for v := range perm {
+		perm[v] = int(bitutil.ReverseBits(uint32(v), n))
+	}
+	pairs := PermutationPairs(perm)
+	direct, err := Templates(NewDimOrder(q), q, pairs, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	directLoad := netsim.MaxLinkLoad(direct)
+	// E-cube on bit reversal: the middle link carries 2^{n/2} routes.
+	if directLoad < 1<<uint(n/2-1) {
+		t.Fatalf("e-cube load %d unexpectedly low (adversary broken?)", directLoad)
+	}
+	valiant, err := Templates(NewValiant(q), q, pairs, 1, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valiantLoad := netsim.MaxLinkLoad(valiant)
+	if valiantLoad*4 > directLoad {
+		t.Errorf("valiant load %d not ≪ e-cube load %d", valiantLoad, directLoad)
+	}
+	// And the measured completion time follows the congestion.
+	dr, err := netsim.Simulate(direct, netsim.CutThrough)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, err := netsim.Simulate(valiant, netsim.CutThrough)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vr.Steps >= dr.Steps {
+		t.Errorf("valiant %d steps not faster than e-cube %d", vr.Steps, dr.Steps)
+	}
+}
+
+// Every Valiant message is delivered, including the fixed points of
+// the transpose permutation (routed out to the midpoint and back).
+func TestValiantPreservesDelivery(t *testing.T) {
+	const n, h = 6, 3
+	q := hypercube.New(n)
+	perm := make([]int, q.Nodes())
+	for v := range perm {
+		perm[v] = (v&(1<<h-1))<<h | v>>h
+	}
+	msgs, err := Templates(NewValiant(q), q, PermutationPairs(perm), 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := netsim.Simulate(msgs, netsim.CutThrough)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.DeliveredMsgs != len(msgs) {
+		t.Errorf("delivered %d of %d", r.DeliveredMsgs, len(msgs))
 	}
 }
 
@@ -122,7 +225,7 @@ func TestValiantBitIdenticalToValiantMessages(t *testing.T) {
 // randomized ones.
 func TestTemplatesReplayable(t *testing.T) {
 	q := hypercube.New(5)
-	perm := netsim.RandomPermutation(rand.New(rand.NewSource(5)), q.Nodes())
+	perm := rand.New(rand.NewSource(5)).Perm(q.Nodes())
 	pairs := PermutationPairs(perm)
 	for _, mk := range []func() Strategy{
 		func() Strategy { return NewDimOrder(q) },
@@ -190,7 +293,7 @@ func TestMinimalObliviousLoadBalances(t *testing.T) {
 // whole run replays bit-identically.
 func TestRunWindowedConservationAndReplay(t *testing.T) {
 	q := hypercube.New(5)
-	perm := netsim.RandomPermutation(rand.New(rand.NewSource(6)), q.Nodes())
+	perm := rand.New(rand.NewSource(6)).Perm(q.Nodes())
 	pairs := PermutationPairs(perm)
 	tr := &netsim.Trace{}
 	for i := 0; i < 300; i++ {

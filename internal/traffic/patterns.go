@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"multipath/internal/bitutil"
 	"multipath/internal/core"
 	"multipath/internal/hypercube"
 	"multipath/internal/netsim"
@@ -12,8 +13,9 @@ import (
 
 // This file generates the demand side of the E29 strategy race: named
 // traffic patterns as (src, dst) pair lists for the routing strategy
-// zoo. Unlike the permutation builders in netsim (which keep fixed
-// points as empty-route messages for index alignment), these skip
+// zoo, and the permutation forms of the two e-cube adversaries that
+// the pair lists are built on. Unlike routing.PermutationPairs (which
+// keeps fixed points as zero-hop pairs for index alignment), these skip
 // self-pairs — a race measures routed traffic, and a zero-hop message
 // says nothing about a strategy. Preconditions are checked up front
 // and rejected with errors instead of silently emitting degenerate or
@@ -24,10 +26,9 @@ import (
 // canonical race order.
 var Patterns = []string{"permutation", "transpose", "bitreversal", "hotspot", "tornado"}
 
-// PermutationPairs draws a uniform random permutation from seed and
-// returns its non-fixed pairs.
-func PermutationPairs(q *hypercube.Q, seed int64) []routing.Pair {
-	perm := rand.New(rand.NewSource(seed)).Perm(q.Nodes())
+// movedPairs returns the pairs v → perm[v] of a permutation that move
+// v, in node order.
+func movedPairs(perm []int) []routing.Pair {
 	pairs := make([]routing.Pair, 0, len(perm))
 	for v, p := range perm {
 		if v != p {
@@ -37,38 +38,52 @@ func PermutationPairs(q *hypercube.Q, seed int64) []routing.Pair {
 	return pairs
 }
 
-// TransposePairs swaps the high and low address halves (matrix
-// transpose), the classic e-cube adversary. The dimension count must
-// be even — an odd split does not even permute the address space.
-func TransposePairs(q *hypercube.Q) ([]routing.Pair, error) {
-	n := q.Dims()
+// PermutationPairs draws a uniform random permutation from seed and
+// returns its non-fixed pairs.
+func PermutationPairs(q *hypercube.Q, seed int64) []routing.Pair {
+	return movedPairs(rand.New(rand.NewSource(seed)).Perm(q.Nodes()))
+}
+
+// TransposePermutation maps each node of Q_n to its address with the
+// high and low halves swapped (matrix transpose), the classic e-cube
+// adversary. n must be even — an odd split does not even permute the
+// address space.
+func TransposePermutation(n int) ([]int, error) {
 	if n%2 != 0 {
 		return nil, fmt.Errorf("traffic: transpose needs an even dimension count, got Q_%d", n)
 	}
 	h := uint(n / 2)
-	mask := hypercube.Node(1)<<h - 1
-	var pairs []routing.Pair
-	for v := 0; v < q.Nodes(); v++ {
-		src := hypercube.Node(v)
-		dst := (src&mask)<<h | src>>h
-		if src != dst {
-			pairs = append(pairs, routing.Pair{Src: src, Dst: dst})
-		}
+	mask := 1<<h - 1
+	perm := make([]int, 1<<uint(n))
+	for v := range perm {
+		perm[v] = (v&mask)<<h | v>>h
 	}
-	return pairs, nil
+	return perm, nil
 }
 
-// BitReversalPairs reverses each address's n-bit string, the other
-// standard worst case for dimension-order routing.
-func BitReversalPairs(q *hypercube.Q) []routing.Pair {
-	perm := netsim.BitReversalPermutation(q.Dims())
-	var pairs []routing.Pair
-	for v, p := range perm {
-		if v != p {
-			pairs = append(pairs, routing.Pair{Src: hypercube.Node(v), Dst: hypercube.Node(p)})
-		}
+// TransposePairs is TransposePermutation's non-fixed pairs on q.
+func TransposePairs(q *hypercube.Q) ([]routing.Pair, error) {
+	perm, err := TransposePermutation(q.Dims())
+	if err != nil {
+		return nil, err
 	}
-	return pairs
+	return movedPairs(perm), nil
+}
+
+// BitReversalPermutation maps each node of Q_n to the reversal of its
+// n-bit address, the other standard worst case for dimension-order
+// routing: e-cube routes funnel 2^{n/2} messages through single links.
+func BitReversalPermutation(n int) []int {
+	perm := make([]int, 1<<uint(n))
+	for v := range perm {
+		perm[v] = int(bitutil.ReverseBits(uint32(v), n))
+	}
+	return perm
+}
+
+// BitReversalPairs is BitReversalPermutation's non-fixed pairs on q.
+func BitReversalPairs(q *hypercube.Q) []routing.Pair {
+	return movedPairs(BitReversalPermutation(q.Dims()))
 }
 
 // HotspotPairs points every other node at the hot node — the many-to-

@@ -45,6 +45,55 @@ func TestPatternPairsValidDemands(t *testing.T) {
 	}
 }
 
+func TestBitReversalPermutation(t *testing.T) {
+	p := BitReversalPermutation(4)
+	if p[0b0001] != 0b1000 || p[0b1100] != 0b0011 || p[0] != 0 {
+		t.Fatalf("bit reversal wrong: %v", p[:16])
+	}
+	// Involution.
+	for v, w := range p {
+		if p[w] != v {
+			t.Fatalf("not an involution at %d", v)
+		}
+	}
+}
+
+// Transpose permutes Q_n for every even n and is an involution; an odd
+// n is rejected, since a split into unequal halves maps two addresses
+// to one (on Q_3 both 1 and 4 would go to 2).
+func TestTransposePermutation(t *testing.T) {
+	for _, n := range []int{2, 4, 6} {
+		p, err := TransposePermutation(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p) != 1<<uint(n) {
+			t.Fatalf("n=%d: %d entries", n, len(p))
+		}
+		hit := make([]bool, len(p))
+		for v, w := range p {
+			if w < 0 || w >= len(p) || hit[w] {
+				t.Fatalf("n=%d: not a permutation at %d → %d", n, v, w)
+			}
+			hit[w] = true
+			if p[w] != v {
+				t.Fatalf("n=%d: not an involution at %d", n, v)
+			}
+		}
+	}
+	p, _ := TransposePermutation(6)
+	if p[0b000111] != 0b111000 {
+		t.Fatalf("transpose wrong: %b", p[0b000111])
+	}
+	for _, n := range []int{1, 3, 5} {
+		_, err := TransposePermutation(n)
+		_, pairErr := TransposePairs(hypercube.New(n))
+		if err == nil || pairErr == nil || err.Error() != pairErr.Error() {
+			t.Errorf("n=%d: permutation err %v, pairs err %v", n, err, pairErr)
+		}
+	}
+}
+
 // Transpose and bit-reversal are involutions: applying the map twice
 // is the identity, so every pair's reverse is also in the demand.
 func TestPatternInvolutions(t *testing.T) {

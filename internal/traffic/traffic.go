@@ -1,8 +1,11 @@
 // Package traffic builds netsim message sets from the embedding
-// constructions — the glue between the structural layers (core, ccc)
-// and the switching simulator. It exists as its own package so that
-// netsim stays free of embedding types (core routes its packet-cost
-// measurement through netsim, so netsim importing core would cycle).
+// constructions — the glue between the structural layers (core, ccc,
+// hamdecomp) and the switching simulator: width-spread paths,
+// multi-copy CCC pieces, §8.1's Hamiltonian-cycle broadcast, the named
+// demand patterns of the strategy race, and seeded arrival traces. It
+// exists as its own package so that netsim stays free of embedding
+// types (core routes its packet-cost measurement through netsim, so
+// netsim importing core would cycle).
 package traffic
 
 import (
@@ -10,6 +13,7 @@ import (
 
 	"multipath/internal/ccc"
 	"multipath/internal/core"
+	"multipath/internal/hamdecomp"
 	"multipath/internal/hypercube"
 	"multipath/internal/netsim"
 )
@@ -222,4 +226,43 @@ func forEachWidthPiece(e *core.Embedding, flits int, fn func(p core.Path, f int)
 		}
 	}
 	return nil
+}
+
+// BroadcastMessages models §8.1's large-copy broadcast: the source
+// splits B flits into one chunk per directed Hamiltonian cycle of
+// Lemma 1 and pipelines each chunk around its cycle, reaching every
+// node. Completion under cut-through is (2^n - 1) + B/n - 1 steps,
+// versus (2^n - 1) + B - 1 along a single cycle.
+func BroadcastMessages(q *hypercube.Q, flits int, multi bool) ([]*netsim.Message, error) {
+	dec, err := hamdecomp.Decompose(q.Dims())
+	if err != nil {
+		return nil, err
+	}
+	cycles := dec.Directed()
+	if !multi {
+		cycles = cycles[:1]
+	}
+	chunk := (flits + len(cycles) - 1) / len(cycles)
+	var msgs []*netsim.Message
+	for _, cyc := range cycles {
+		route := make([]int, 0, len(cyc)-1)
+		start := 0
+		for i, v := range cyc {
+			if v == 0 {
+				start = i
+				break
+			}
+		}
+		for t := 0; t+1 < len(cyc); t++ {
+			u := cyc[(start+t)%len(cyc)]
+			v := cyc[(start+t+1)%len(cyc)]
+			id, err := q.EdgeBetween(u, v)
+			if err != nil {
+				return nil, err
+			}
+			route = append(route, id)
+		}
+		msgs = append(msgs, &netsim.Message{Route: route, Flits: chunk})
+	}
+	return msgs, nil
 }

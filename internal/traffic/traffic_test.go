@@ -7,7 +7,9 @@ import (
 
 	"multipath/internal/ccc"
 	"multipath/internal/cycles"
+	"multipath/internal/hypercube"
 	"multipath/internal/netsim"
+	"multipath/internal/routing"
 )
 
 func TestCCCGreedyRoute(t *testing.T) {
@@ -44,10 +46,13 @@ func TestSection7Speedup(t *testing.T) {
 	}
 	q := mc.Host
 	rng := rand.New(rand.NewSource(42))
-	perm := netsim.RandomPermutation(rng, q.Nodes())
+	perm := rng.Perm(q.Nodes())
 	const M = 64
 
-	sfMsgs := netsim.PermutationMessages(q, perm, M)
+	sfMsgs, err := routing.Templates(routing.NewDimOrder(q), q, routing.PermutationPairs(perm), M, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sf, err := netsim.Simulate(sfMsgs, netsim.StoreAndForward)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +134,7 @@ func TestBuilderRejectsNonPositiveFlits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perm := netsim.RandomPermutation(rand.New(rand.NewSource(1)), mc.Host.Nodes())
+	perm := rand.New(rand.NewSource(1)).Perm(mc.Host.Nodes())
 	builders := map[string]func(flits int) error{
 		"WidthPathMessages": func(flits int) error {
 			_, err := WidthPathMessages(emb, flits)
@@ -192,7 +197,7 @@ func TestBuilderSeededDeterminism(t *testing.T) {
 	}
 	build := func() []*netsim.Message {
 		rng := rand.New(rand.NewSource(77))
-		perm := netsim.RandomPermutation(rng, mc.Host.Nodes())
+		perm := rng.Perm(mc.Host.Nodes())
 		msgs, err := MultiCopyCCCMessages(mc, n, perm, 16)
 		if err != nil {
 			t.Fatal(err)
@@ -302,5 +307,75 @@ func TestPathTemplatesErrors(t *testing.T) {
 	}
 	if _, _, err := PathTemplates(e, []int{-1}, 1); err == nil {
 		t.Error("negative edge accepted")
+	}
+}
+
+// §8.1 broadcast: splitting over Lemma 1's n cycles divides the
+// bandwidth term by n. The edge-disjoint cycle routes are also an
+// engine-vs-reference equivalence workload.
+func TestBroadcastOverHamiltonianCycles(t *testing.T) {
+	const n, B = 6, 600
+	q := hypercube.New(n)
+	single, err := BroadcastMessages(q, B, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := BroadcastMessages(q, B, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(single) != 1 || len(multi) != n {
+		t.Fatalf("message counts %d/%d", len(single), len(multi))
+	}
+	sr, err := netsim.Simulate(single, netsim.CutThrough)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := netsim.Simulate(multi, netsim.CutThrough)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (2^n - 2) hops: single pays + B - 1; multi pays + B/n - 1 on
+	// edge-disjoint cycles (no contention).
+	hops := q.Nodes() - 2
+	if sr.Steps != hops+B {
+		t.Errorf("single broadcast %d steps, want %d", sr.Steps, hops+B)
+	}
+	if mr.Steps != hops+B/n {
+		t.Errorf("multi broadcast %d steps, want %d", mr.Steps, hops+B/n)
+	}
+	if mr.Steps >= sr.Steps {
+		t.Errorf("no broadcast speedup: %d vs %d", mr.Steps, sr.Steps)
+	}
+	bm, err := BroadcastMessages(q, 96, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []netsim.Mode{netsim.StoreAndForward, netsim.CutThrough} {
+		ref, err := netsim.SimulateReference(bm, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := netsim.Simulate(bm, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%v: engine %+v != reference %+v", mode, got, ref)
+		}
+	}
+}
+
+func TestBroadcastOddDimension(t *testing.T) {
+	q := hypercube.New(5)
+	msgs, err := BroadcastMessages(q, 100, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 4 { // 2⌊5/2⌋ directed cycles
+		t.Fatalf("%d messages", len(msgs))
+	}
+	if _, err := netsim.Simulate(msgs, netsim.CutThrough); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -21,7 +21,15 @@
 //   - LargeCopy*: §8's load-n single-copy embeddings.
 //   - HamiltonianDecomposition: the Lemma 1 substrate.
 //   - Disperse/Reconstruct + FaultTolerantSend: IDA over disjoint paths.
-//   - Simulate: the unit-delay network simulator of the cost model.
+//   - Simulate: the unit-delay network simulator of the cost model. It
+//     runs the routes it is given; it builds none.
+//   - NewDimOrder / NewValiantStrategy / NewMinimalOblivious /
+//     NewAdaptive + PermutationDemand / PatternDemand +
+//     StrategyTemplates: the single-path routers the paper compares
+//     against (e-cube, Valiant, ...) as message templates for the
+//     simulator; RunStrategy races one over a windowed open-loop run.
+//   - BroadcastMessages: §8.1's broadcast split over Lemma 1's directed
+//     Hamiltonian cycles.
 //   - SimulateFaults + NewFaultSchedule/BernoulliFaults: the simulator
 //     under injected link/node faults (deterministic, replayable).
 //   - TransportSend: measured retry/IDA transport over disjoint paths —
@@ -509,15 +517,11 @@ func NewRelaxation(m int, boundary func(i, j int) float64) *relax.Problem {
 // steps (the paper's odd-subcube construction claims 4; see DESIGN.md).
 func CycleWideEmbedding(n int) (*cycles.WideEmbedding, error) { return cycles.Theorem2Wide(n) }
 
-// BitReversalPermutation returns the classic adversarial permutation
-// for dimension-ordered routing.
-func BitReversalPermutation(n int) []int { return netsim.BitReversalPermutation(n) }
-
 // BroadcastMessages models a one-to-all broadcast pipelined over the
 // directed Hamiltonian cycles of Lemma 1 (multi = all cycles) or a
 // single cycle.
 func BroadcastMessages(q *Hypercube, flits int, multi bool) ([]*Message, error) {
-	return netsim.BroadcastMessages(q, flits, multi)
+	return traffic.BroadcastMessages(q, flits, multi)
 }
 
 // CCCMultiCopyGeneral extends Theorem 3 to any even n (§5's footnote):
@@ -553,8 +557,8 @@ func NewMinimalOblivious(q *Hypercube) RoutingStrategy { return routing.NewMinim
 func NewAdaptive(q *Hypercube) *AdaptiveStrategy { return routing.NewAdaptive(q) }
 
 // PermutationDemand converts a permutation into RoutingStrategy
-// demands, keeping fixed points as empty self-routes so template
-// indexes align with PermutationMessages.
+// demands, keeping fixed points as empty self-routes so template i is
+// node i's message.
 func PermutationDemand(perm []int) []RoutingPair { return routing.PermutationPairs(perm) }
 
 // PatternDemand builds one of the named traffic patterns
