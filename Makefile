@@ -12,7 +12,8 @@ all: check
 # the mpbench worker pool, and the core arena builders' per-worker
 # fan-out are concurrent, so -race is part of the gate, not an extra;
 # the core package's parallel-build tests force multiple workers
-# regardless of host core count).
+# regardless of host core count). Under -race the root package's
+# large-scale tests run at smaller sizes (slow_test.go's largeN).
 check: fmt build vet staticcheck test-patterns test race
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
@@ -83,9 +84,7 @@ fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzSimulate$$ -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzSimulateFaults -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzSimulateProbed -fuzztime=$(FUZZTIME) ./internal/netsim
-	$(GO) test -run=^$$ -fuzz=FuzzSimulateSharded -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzSimulateOpenLoop$$ -fuzztime=$(FUZZTIME) ./internal/netsim
-	$(GO) test -run=^$$ -fuzz=FuzzSimulateOpenLoopSharded -fuzztime=$(FUZZTIME) ./internal/netsim
 	$(GO) test -run=^$$ -fuzz=FuzzGrayRoundTrip -fuzztime=$(FUZZTIME) ./internal/bitutil
 	$(GO) test -run=^$$ -fuzz=FuzzMomentFlip -fuzztime=$(FUZZTIME) ./internal/bitutil
 	$(GO) test -run=^$$ -fuzz=FuzzPrefixConsistency -fuzztime=$(FUZZTIME) ./internal/bitutil

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -15,6 +14,20 @@ import (
 // BENCH_netsim.json: the machine-readable perf record emitted next to
 // the markdown tables. Future PRs diff these files to track the perf
 // trajectory of the simulator and the experiment suites.
+
+// benchEnv records the execution environment in every BENCH_*.json
+// report. Wall-clock cells cannot be read without it: the experiment
+// suites and E27's load points run across GOMAXPROCS workers, so the
+// same run takes longer on a host with fewer CPUs, and the env block is
+// what distinguishes that from a regression.
+type benchEnv struct {
+	GoMaxProcs int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
+}
+
+func currentEnv() benchEnv {
+	return benchEnv{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+}
 
 type speedupReport struct {
 	Workload    string  `json:"workload"`
@@ -34,16 +47,13 @@ type benchExperiment struct {
 }
 
 type benchReport struct {
-	GeneratedAt   string         `json:"generated_at"`
-	GoMaxProcs    int            `json:"gomaxprocs"`
-	Env           benchEnv       `json:"env"`
-	Parallel      bool           `json:"parallel"`
-	TotalWallMS   float64        `json:"total_wall_ms"`
-	EngineSpeedup *speedupReport `json:"engine_speedup"`
-	// ShardSweep is the E25 record: the partitioned engine versus the
-	// single-shard engine on Theorem 1 traffic (see shardbench.go).
-	ShardSweep  *shardSweepReport `json:"shard_sweep"`
-	Experiments []benchExperiment `json:"experiments"`
+	GeneratedAt   string            `json:"generated_at"`
+	GoMaxProcs    int               `json:"gomaxprocs"`
+	Env           benchEnv          `json:"env"`
+	Parallel      bool              `json:"parallel"`
+	TotalWallMS   float64           `json:"total_wall_ms"`
+	EngineSpeedup *speedupReport    `json:"engine_speedup"`
+	Experiments   []benchExperiment `json:"experiments"`
 }
 
 // measureEngineSpeedup times the E17-class switching sweep — Q_8
@@ -91,17 +101,12 @@ func measureEngineSpeedup() *speedupReport {
 }
 
 func writeBenchJSON(path string, outs []outcome, sp *speedupReport, parallel bool) error {
-	sharded, err := measureShardSweep()
-	if err != nil {
-		return fmt.Errorf("shard sweep: %w", err)
-	}
 	rep := benchReport{
 		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		Env:           currentEnv(),
 		Parallel:      parallel,
 		EngineSpeedup: sp,
-		ShardSweep:    sharded,
 	}
 	for _, o := range outs {
 		be := benchExperiment{

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 
 	"multipath/internal/cycles"
@@ -10,7 +9,6 @@ import (
 	"multipath/internal/netsim"
 	"multipath/internal/obsv"
 	"multipath/internal/selfheal"
-	"multipath/internal/traffic"
 )
 
 // E28: graceful degradation of the self-healing open-loop transport —
@@ -50,20 +48,15 @@ type healSeries struct {
 }
 
 type selfHealReport struct {
-	Embedding  string `json:"embedding"`
-	Strategy   string `json:"strategy"`
-	Width      int    `json:"width"`
-	Flits      int    `json:"flits"`
-	MaxRetries int    `json:"max_retries"`
-	Deadline   int    `json:"deadline"`
-	Seeds      int    `json:"seeds"`
-	Rates      []int  `json:"rates"`
-	// VerifiedShards records the bit-identity check that ran before
-	// any point was measured: listener-off sharded runs at this shard
-	// count matched the single-shard engine exactly, and the healing
-	// session's Report was identical at shards 1 and VerifiedShards.
-	VerifiedShards int          `json:"verified_shards"`
-	Series         []healSeries `json:"series"`
+	Embedding  string       `json:"embedding"`
+	Strategy   string       `json:"strategy"`
+	Width      int          `json:"width"`
+	Flits      int          `json:"flits"`
+	MaxRetries int          `json:"max_retries"`
+	Deadline   int          `json:"deadline"`
+	Seeds      int          `json:"seeds"`
+	Rates      []int        `json:"rates"`
+	Series     []healSeries `json:"series"`
 }
 
 // Sweep parameters. Rates are transfer arrivals per step; each run
@@ -71,14 +64,13 @@ type selfHealReport struct {
 // clean cut-through latency, so misses measure healing delay, not the
 // baseline transit time.
 var (
-	healRates        = []int{2, 16}
-	healFlits        = 8
-	healMaxRetries   = 3
-	healDeadline     = 48
-	healStepLimit    = 5000
-	healVerifyShards = 4
-	healBurstFrom    = 16
-	healBurstUntil   = 48
+	healRates      = []int{2, 16}
+	healFlits      = 8
+	healMaxRetries = 3
+	healDeadline   = 48
+	healStepLimit  = 5000
+	healBurstFrom  = 16
+	healBurstUntil = 48
 )
 
 type healBackoff struct {
@@ -115,11 +107,7 @@ func healTrace(bundles, rate int) *netsim.Trace {
 	return tr
 }
 
-// measureSelfHealSweep runs the E28 sweep once per process. Before any
-// point is measured it verifies the determinism contract on the
-// heaviest configuration: a listener-off sharded run is bit-identical
-// to the single-shard engine, and the healing session's Report is
-// shard-invariant.
+// measureSelfHealSweep runs the E28 sweep once per process.
 var measureSelfHealSweep = sync.OnceValues(func() (*selfHealReport, error) {
 	e, err := cycles.Theorem1(8)
 	if err != nil {
@@ -127,67 +115,16 @@ var measureSelfHealSweep = sync.OnceValues(func() (*selfHealReport, error) {
 	}
 	links := e.Host.DirectedEdges()
 	nb := len(e.Paths)
-	pMax := faultProbs[len(faultProbs)-1]
-
-	// Bit-identity gate 1: the engine itself, listener off, on this
-	// sweep's templates and trace.
-	tmpls, _, err := traffic.PathTemplates(e, nil, healFlits)
-	if err != nil {
-		return nil, err
-	}
-	vTrace := healTrace(nb, healRates[0])
-	vSched := healSchedule("bernoulli", links, pMax, 1)
-	vOpts := netsim.OpenLoopOpts{Mode: netsim.CutThrough, Faults: vSched, StepLimit: healStepLimit}
-	want, err := netsim.SimulateOpenLoop(tmpls, vTrace.Source(), vOpts)
-	if err != nil {
-		return nil, err
-	}
-	got, err := netsim.SimulateOpenLoopSharded(tmpls, vTrace.Source(), vOpts, healVerifyShards)
-	if err != nil {
-		return nil, err
-	}
-	if !reflect.DeepEqual(got, want) {
-		return nil, fmt.Errorf("E28: listener-off engine diverged at %d shards:\n%+v\nvs\n%+v",
-			healVerifyShards, *got, *want)
-	}
-
-	// Bit-identity gate 2: the healing session's Report at 1 vs
-	// healVerifyShards shards.
-	healRun := func(shards int) (*selfheal.Report, error) {
-		return selfheal.Send(e, nil, healTrace(nb, healRates[0]), selfheal.Config{
-			Mode:       netsim.CutThrough,
-			Flits:      healFlits,
-			MaxRetries: healMaxRetries,
-			Deadline:   healDeadline,
-			Backoff:    healBackoffs()[0].b,
-			Faults:     vSched,
-			StepLimit:  healStepLimit,
-			Shards:     shards,
-		})
-	}
-	wantRep, err := healRun(1)
-	if err != nil {
-		return nil, err
-	}
-	gotRep, err := healRun(healVerifyShards)
-	if err != nil {
-		return nil, err
-	}
-	if !reflect.DeepEqual(gotRep, wantRep) {
-		return nil, fmt.Errorf("E28: healing report diverged at %d shards:\n%+v\nvs\n%+v",
-			healVerifyShards, *gotRep, *wantRep)
-	}
 
 	rep := &selfHealReport{
-		Embedding:      "Theorem 1 (n=8)",
-		Strategy:       selfheal.Reroute.String(),
-		Width:          len(e.Paths[0]),
-		Flits:          healFlits,
-		MaxRetries:     healMaxRetries,
-		Deadline:       healDeadline,
-		Seeds:          faultSeeds,
-		Rates:          healRates,
-		VerifiedShards: healVerifyShards,
+		Embedding:  "Theorem 1 (n=8)",
+		Strategy:   selfheal.Reroute.String(),
+		Width:      len(e.Paths[0]),
+		Flits:      healFlits,
+		MaxRetries: healMaxRetries,
+		Deadline:   healDeadline,
+		Seeds:      faultSeeds,
+		Rates:      healRates,
 	}
 	for _, kind := range []string{"bernoulli", "bernoulli+burst"} {
 		for _, bo := range healBackoffs() {
@@ -279,9 +216,7 @@ func runE28() (*table, error) {
 		}
 	}
 	tab.note("%s, width %d, %d-flit transfers, ≤%d retries, deadline %d steps, %d seeds per "+
-		"point; the permanent fault draws are exactly the E23 baseline's, and listener-off "+
-		"bit-identity at %d shards was verified before measuring.",
-		rep.Embedding, rep.Width, rep.Flits, rep.MaxRetries, rep.Deadline, rep.Seeds,
-		rep.VerifiedShards)
+		"point; the permanent fault draws are exactly the E23 baseline's.",
+		rep.Embedding, rep.Width, rep.Flits, rep.MaxRetries, rep.Deadline, rep.Seeds)
 	return tab, nil
 }

@@ -20,22 +20,20 @@
 // BENCH_traffic.json (the E26 open-loop sweep: steady-state latency
 // percentiles versus offered load with saturation throughput, plus the
 // open-loop engine's measured speedup over the naive per-step
-// baseline, and the E27 shard_sweep: whole-cube saturation curves with
-// the sharded open-loop engine's per-shard-count speedups), giving
-// future changes a perf trajectory to compare against.
+// baseline, and the E27 whole_cube_sweep: whole-cube saturation
+// curves), giving future changes a perf trajectory to compare against.
 //
 // Usage:
 //
 //	mpbench                  # run all experiments, write both JSON reports
 //	mpbench -run E2          # run one experiment by id
 //	mpbench -list            # list experiment ids
-//	mpbench -parallel=false  # force serial execution
+//	mpbench -parallel=false  # force serial execution (suites and E27's load points)
 //	mpbench -json ""         # skip the netsim JSON report
 //	mpbench -construct-json "" # skip the metric-engine JSON report
 //	mpbench -faults-json ""  # skip the fault-tolerance sweep report
 //	mpbench -obs-json ""     # skip the observability distribution report
 //	mpbench -trace t.jsonl   # export a JSONL event trace of a reference run
-//	mpbench -shards 8 -shard-dims 16,20  # size the E25 partitioned-engine sweep
 //	mpbench -load 0.1,0.5,1.0 -arrival mmpp  # shape the E26 offered-load sweep
 //	mpbench -traffic-json ""  # skip the open-loop sweep report
 //	mpbench -cpuprofile cpu.prof -memprofile mem.prof  # pprof the run
@@ -104,7 +102,7 @@ func (t *table) print() {
 	}
 }
 
-// parseDims parses the -shard-dims flag ("16,20" → [16 20]).
+// parseDims parses the -traffic-dims flag ("16,20" → [16 20]).
 func parseDims(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -160,9 +158,8 @@ func experimentList() []experiment {
 		{"E22", "Naive per-edge widening vs Theorem 1's coordination", runE22},
 		{"E23", "Measured fault tolerance: single path vs IDA under link faults", runE23},
 		{"E24", "Observability: latency and queue-depth distributions via probes", runE24},
-		{"E25", "Sharded engine: partitioned simulation of million-node traffic", runE25},
 		{"E26", "Open-loop steady state: latency vs offered load, saturation throughput", runE26},
-		{"E27", "Sharded open loop: whole-cube saturation sweeps at million-node scale", runE27},
+		{"E27", "Whole-cube open loop: saturation sweeps at million-node scale", runE27},
 		{"E28", "Self-healing transport: degradation curves under live faults", runE28},
 		{"E29", "Strategy race: dimorder/Valiant/minimal/adaptive vs paper multipath", runE29},
 	}
@@ -184,21 +181,25 @@ func parseLoads(s string) ([]float64, error) {
 	return loads, nil
 }
 
-// runExperiments executes the given suites — serially in order, or
-// across GOMAXPROCS workers — and returns outcomes in input order so
-// downstream printing is deterministic either way.
-func runExperiments(exps []experiment, parallel bool) []outcome {
-	outs := make([]outcome, len(exps))
-	workers := 1
+// parallelRuns is the -parallel flag: whether independent runs inside
+// an experiment (E27's load points) may use more than one worker.
+var parallelRuns = true
+
+// workerCount is the worker count the -parallel setting allows:
+// GOMAXPROCS, or 1.
+func workerCount(parallel bool) int {
 	if parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > len(exps) {
-			workers = len(exps)
-		}
+		return runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	return 1
+}
+
+// forEachIndex calls fn(i) for every i in [0, n) on up to workers
+// goroutines that claim indices in order (one worker visits them in
+// index order). fn writes its result to slot i of a caller-owned
+// slice, so what the caller reads back never depends on scheduling.
+func forEachIndex(n, workers int, fn func(i int)) {
+	workers = max(min(workers, n), 1)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -207,33 +208,41 @@ func runExperiments(exps []experiment, parallel bool) []outcome {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(exps) {
+				if i >= n {
 					return
 				}
-				start := time.Now()
-				tab, err := exps[i].run()
-				if tab != nil {
-					tab.id, tab.title = exps[i].id, exps[i].title
-				}
-				outs[i] = outcome{exp: exps[i], tab: tab, err: err, wall: time.Since(start)}
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// runExperiments executes the given suites — serially in order, or
+// across GOMAXPROCS workers — and returns outcomes in input order so
+// downstream printing is deterministic either way.
+func runExperiments(exps []experiment, parallel bool) []outcome {
+	outs := make([]outcome, len(exps))
+	forEachIndex(len(exps), workerCount(parallel), func(i int) {
+		start := time.Now()
+		tab, err := exps[i].run()
+		if tab != nil {
+			tab.id, tab.title = exps[i].id, exps[i].title
+		}
+		outs[i] = outcome{exp: exps[i], tab: tab, err: err, wall: time.Since(start)}
+	})
 	return outs
 }
 
 func main() {
 	runID := flag.String("run", "", "run only the experiment with this id (e.g. E2)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	parallel := flag.Bool("parallel", true, "run experiment suites concurrently (output order is unchanged)")
+	parallel := flag.Bool("parallel", true, "run experiment suites and E27's load points concurrently (output is unchanged)")
 	jsonPath := flag.String("json", "BENCH_netsim.json", "write per-experiment wall-clock + metrics JSON here (empty to disable)")
 	constructPath := flag.String("construct-json", "BENCH_construct.json", "write the dense metric-engine benchmark JSON here (empty to disable)")
 	faultsPath := flag.String("faults-json", "BENCH_faults.json", "write the fault-tolerance sweep JSON here (empty to disable)")
 	obsPath := flag.String("obs-json", "BENCH_obsv.json", "write the observability (latency/queue-depth distribution) JSON here (empty to disable)")
 	tracePath := flag.String("trace", "", "write a JSONL event trace of the Theorem 1 (n=8) width-path run here")
-	shardsFlag := flag.Int("shards", shardMax, "largest shard count for the E25 partitioned-engine sweep")
-	shardDimsFlag := flag.String("shard-dims", "16,20", "comma-separated host dimensions for the E25 sweep")
 	trafficPath := flag.String("traffic-json", "BENCH_traffic.json", "write the E26 open-loop latency-vs-load sweep JSON here (empty to disable)")
 	loadFlag := flag.String("load", "", "comma-separated offered loads for the E26 sweep (fractions of window capacity, e.g. 0.1,0.5,1.0)")
 	arrivalFlag := flag.String("arrival", trafficArrival, "E26 arrival process: poisson or mmpp")
@@ -242,15 +251,7 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) here")
 	flag.Parse()
 
-	if *shardsFlag >= 1 {
-		shardMax = *shardsFlag
-	}
-	if dims, err := parseDims(*shardDimsFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "shard-dims: %v\n", err)
-		os.Exit(1)
-	} else if len(dims) > 0 {
-		shardDims = dims
-	}
+	parallelRuns = *parallel
 	if loads, err := parseLoads(*loadFlag); err != nil {
 		fmt.Fprintf(os.Stderr, "load: %v\n", err)
 		os.Exit(1)

@@ -5,29 +5,26 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"multipath/internal/obsv"
 )
 
-// The E25 shard sweep defaults to Q_16/Q_20 hosts — minutes of wall
-// clock that the regression gate does not need. Simulating Q_10 at a
-// few shard counts exercises the identical code paths.
+// The open-loop sweeps default to Q_12..Q_20 hosts — minutes of wall
+// clock that the regression gate does not need.
 func init() {
-	shardDims = []int{10}
-	shardMax = 4
-	shardReps = 1
-	// The E26 open-loop sweep likewise shrinks to one small host, two
-	// loads, and short traces; the code paths are identical.
+	// The E26 open-loop sweep shrinks to one small host, two loads,
+	// and short traces; the code paths are identical.
 	trafficDims = []int{10}
 	trafficEdges = 16
 	trafficLoads = []float64{0.1, 0.8}
 	trafficN = 1500
 	trafficReps = 1
 	trickleN = 300
-	// The E27 whole-cube sharded sweep shrinks to Q_10 with a small
-	// arrival budget; the verification and timing paths are identical.
+	// The E27 whole-cube sweep shrinks to Q_10 with a small arrival
+	// budget; the fan-out and curve paths are identical.
 	olDims = []int{10}
 	olLoads = []float64{0.2, 0.9}
 	olNMax = 2000
@@ -140,40 +137,49 @@ func TestWriteBenchJSON(t *testing.T) {
 		t.Errorf("speedup not recorded: %+v", rep.EngineSpeedup)
 	}
 	checkEnv(t, rep.Env)
-	if rep.ShardSweep == nil {
-		t.Fatal("shard sweep not recorded")
-	}
-	if len(rep.ShardSweep.Cases) != len(shardDims) {
-		t.Fatalf("shard sweep has %d cases, want %d", len(rep.ShardSweep.Cases), len(shardDims))
-	}
-	for _, c := range rep.ShardSweep.Cases {
-		if len(c.Points) != len(shardCountSweep()) {
-			t.Errorf("Q_%d: %d points, want %d", c.Dims, len(c.Points), len(shardCountSweep()))
-		}
-		if c.Steps == 0 || c.FlitsMoved == 0 || c.BaselineMS <= 0 {
-			t.Errorf("Q_%d: degenerate case %+v", c.Dims, c)
-		}
-		for i, pt := range c.Points {
-			if pt.Shards != shardCountSweep()[i] {
-				t.Errorf("Q_%d point %d: shards=%d, want %d", c.Dims, i, pt.Shards, shardCountSweep()[i])
-			}
-			if pt.WallMS <= 0 || pt.Speedup <= 0 {
-				t.Errorf("Q_%d shards=%d: no timing recorded: %+v", c.Dims, pt.Shards, pt)
-			}
-		}
-	}
 }
 
 // checkEnv asserts the environment block every BENCH_*.json now
-// carries: shard speedups are unreadable without knowing the CPU
+// carries: wall-clock cells are unreadable without knowing the CPU
 // budget behind the workers.
 func checkEnv(t *testing.T, env benchEnv) {
 	t.Helper()
 	if env.GoMaxProcs < 1 || env.NumCPU < 1 {
 		t.Errorf("env not recorded: %+v", env)
 	}
-	if env.Shards != shardMax {
-		t.Errorf("env shards %d, want %d", env.Shards, shardMax)
+}
+
+// forEachIndex visits every index exactly once, serially or across
+// more workers than the host has CPUs.
+func TestForEachIndex(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, parallel := range []bool{false, true} {
+		for _, n := range []int{0, 1, 3, 37} {
+			hits := make([]int, n)
+			forEachIndex(n, workerCount(parallel), func(i int) { hits[i]++ })
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("parallel=%v n=%d: index %d visited %d times", parallel, n, i, h)
+				}
+			}
+		}
+	}
+}
+
+// E27's fan-out across load points changes no value: the parallel
+// sweep equals the serial one case by case, point by point.
+func TestWholeCubeSweepParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	serial, err := wholeCubeSweep(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := wholeCubeSweep(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(par, serial) {
+		t.Fatalf("parallel sweep differs from serial:\nparallel %+v\nserial   %+v", par, serial)
 	}
 }
 
@@ -306,14 +312,10 @@ func TestWriteFaultsJSON(t *testing.T) {
 
 	// The E28 self-healing section: one series per schedule × backoff,
 	// a point per (p, rate), delivered fraction at or above the
-	// single-path closed-loop baseline at every fault rate, and the
-	// pre-measurement bit-identity verification on record.
+	// single-path closed-loop baseline at every fault rate.
 	heal := rep.SelfHeal
 	if heal == nil {
 		t.Fatal("no self_heal section in the faults report")
-	}
-	if heal.VerifiedShards < 2 {
-		t.Fatalf("bit-identity verified at %d shards, want >= 2", heal.VerifiedShards)
 	}
 	if len(heal.Series) != 4 {
 		t.Fatalf("self-heal has %d series, want 4 (2 schedules x 2 backoffs)", len(heal.Series))
@@ -551,15 +553,14 @@ func TestWriteTrafficJSON(t *testing.T) {
 				sp.Case, sp.Speedup, sp.EngineMS, sp.NaiveMS)
 		}
 	}
-	// The E27 shard_sweep section: one whole-cube case per
-	// embedding×dimension with a Poisson and an MMPP curve, and a timed,
-	// pre-verified point per shard count.
-	if len(rep.ShardSweep) != 2*len(olDims) {
-		t.Fatalf("shard sweep has %d cases, want %d (theorem1+theorem2 per dim)", len(rep.ShardSweep), 2*len(olDims))
+	// The E27 whole_cube_sweep section: one whole-cube case per
+	// embedding×dimension with a Poisson and an MMPP curve.
+	if len(rep.WholeCubeSweep) != 2*len(olDims) {
+		t.Fatalf("whole-cube sweep has %d cases, want %d (theorem1+theorem2 per dim)", len(rep.WholeCubeSweep), 2*len(olDims))
 	}
-	for _, c := range rep.ShardSweep {
+	for _, c := range rep.WholeCubeSweep {
 		if c.Capacity <= 0 || c.Templates == 0 || c.Links == 0 || c.MeanFlitHops <= 0 {
-			t.Errorf("%s Q_%d: degenerate shard-sweep case %+v", c.Embedding, c.Dims, c)
+			t.Errorf("%s Q_%d: degenerate whole-cube case %+v", c.Embedding, c.Dims, c)
 		}
 		if len(c.Curves) != 2 || c.Curves[0].Arrival != "poisson" || c.Curves[1].Arrival != "mmpp" {
 			t.Fatalf("%s Q_%d: want a poisson and an mmpp curve, got %+v", c.Embedding, c.Dims, c.Curves)
@@ -582,20 +583,6 @@ func TestWriteTrafficJSON(t *testing.T) {
 			}
 			if curve.SaturationLoad <= 0 {
 				t.Errorf("%s Q_%d %s: no saturation point detected", c.Embedding, c.Dims, curve.Arrival)
-			}
-		}
-		if c.ShardLoad <= 0 || c.Lambda <= 0 || c.Arrivals == 0 || c.Steps == 0 || c.BaselineMS <= 0 {
-			t.Errorf("%s Q_%d: degenerate shard-speedup block %+v", c.Embedding, c.Dims, c)
-		}
-		if len(c.Points) != len(shardCountSweep()) {
-			t.Fatalf("%s Q_%d: %d shard points, want %d", c.Embedding, c.Dims, len(c.Points), len(shardCountSweep()))
-		}
-		for i, pt := range c.Points {
-			if pt.Shards != shardCountSweep()[i] {
-				t.Errorf("%s Q_%d point %d: shards=%d, want %d", c.Embedding, c.Dims, i, pt.Shards, shardCountSweep()[i])
-			}
-			if pt.WallMS <= 0 || pt.Speedup <= 0 {
-				t.Errorf("%s Q_%d shards=%d: no timing recorded: %+v", c.Embedding, c.Dims, pt.Shards, pt)
 			}
 		}
 	}

@@ -110,10 +110,9 @@ type trafficReport struct {
 	WallMS      float64          `json:"wall_ms"`
 	Cases       []trafficCase    `json:"cases"`
 	Speedups    []trafficSpeedup `json:"speedups"`
-	// ShardSweep is the E27 record: whole-cube saturation curves per
-	// arrival process with per-shard-count speedups of the sharded
-	// open-loop engine over the single-shard one.
-	ShardSweep []trafficShardCase `json:"shard_sweep"`
+	// WholeCubeSweep is the E27 record: whole-cube saturation curves
+	// per arrival process.
+	WholeCubeSweep []wholeCubeCase `json:"whole_cube_sweep"`
 	// StrategyRace is the E29 record: the routing strategy zoo raced
 	// against the paper's disjoint-path construction across traffic
 	// patterns on clean and faulty fabrics.
@@ -161,8 +160,10 @@ func warmupCutoff(tr *netsim.Trace) int {
 	return tr.Arrivals[len(tr.Arrivals)/5].Step
 }
 
-// timeOpenLoop is timeBest's discipline for open-loop runs: one
-// untimed warm run, then best-of-trafficReps.
+// timeOpenLoop times an open-loop run: one untimed warm run (the first
+// run at a new size pays pooled-engine state growth, which is setup,
+// not simulation), a GC to settle the heap the preceding experiments
+// left, then the best of trafficReps timed runs.
 func timeOpenLoop(sim func() (*netsim.OpenLoopResult, error)) (time.Duration, *netsim.OpenLoopResult, error) {
 	res, err := sim()
 	if err != nil {
@@ -422,7 +423,7 @@ func writeTrafficJSON(path string) error {
 		return err
 	}
 	out := *rep
-	out.ShardSweep = sweep
+	out.WholeCubeSweep = sweep
 	out.StrategyRace = race
 	out.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	out.Env = currentEnv()

@@ -19,9 +19,7 @@
 // instead: their message sets become route templates, a seeded arrival
 // process (poisson, mmpp, pareto, or lognormal at -rate mean arrivals
 // per step) injects -arrivals instances over time, and the report adds
-// in-flight and leap-step accounting. -shards composes: the sharded
-// open-loop engine is bit-identical to the single-shard one, so the
-// numbers do not depend on the shard count.
+// in-flight and leap-step accounting.
 //
 // Beyond the classical entries, -strategy also accepts the routing
 // strategy zoo (internal/routing): dimorder (e-cube through the
@@ -30,14 +28,17 @@
 // open-loop mode the adaptive strategy runs windowed (-windows):
 // routes are re-drawn between measurement windows on observed
 // queue-depth feedback, and under -fault-p it learns dead links as the
-// engine reports them; this path is single-shard.
+// engine reports them.
+//
+// Every flag is validated before any output is printed: a bad value
+// exits 1 with an error and no partial report.
 //
 // Usage:
 //
 //	routesim -n 4 -flits 64 -seed 42
 //	routesim -n 8 -flits 128 -strategy ccc
 //	routesim -n 4 -strategy valiant -obs -trace valiant.jsonl
-//	routesim -n 4 -arrival poisson -rate 0.2 -arrivals 2000 -shards 4 -obs
+//	routesim -n 4 -arrival poisson -rate 0.2 -arrivals 2000 -obs
 //	routesim -n 4 -strategy adaptive -arrival poisson -rate 0.3 -fault-p 0.02 -windows 4
 package main
 
@@ -65,7 +66,6 @@ func main() {
 	windows := flag.Int("windows", 4, "open-loop measurement windows for the adaptive strategy's feedback re-planning")
 	obs := flag.Bool("obs", false, "report latency and queue-depth distributions per strategy")
 	tracePath := flag.String("trace", "", "write a JSONL event trace of every run here")
-	shards := flag.Int("shards", 1, "shard workers per buffered simulation (>1 uses the partitioned engine; results are identical)")
 	arrival := flag.String("arrival", "", "open-loop arrival process: poisson | mmpp | pareto | lognormal (empty: closed-loop)")
 	rate := flag.Float64("rate", 0.1, "open-loop mean arrival rate (arrivals per step)")
 	arrivals := flag.Int("arrivals", 2000, "open-loop arrival count")
@@ -78,7 +78,7 @@ func main() {
 		process: *arrival, rate: *rate, arrivals: *arrivals,
 		faultP: *faultP, faultSeed: *faultSeed, faultBurst: *faultBurst,
 	}
-	if err := run(*n, *flits, *seed, *strategy, *obs, *tracePath, *shards, *windows, ol); err != nil {
+	if err := run(*n, *flits, *seed, *strategy, *obs, *tracePath, *windows, ol); err != nil {
 		fmt.Fprintln(os.Stderr, "routesim:", err)
 		os.Exit(1)
 	}
@@ -97,6 +97,50 @@ type openLoopCfg struct {
 	faultP     float64
 	faultSeed  int64
 	faultBurst string
+	// burstFrom and burstUntil are faultBurst parsed by check.
+	burstFrom, burstUntil int
+}
+
+// arrivalProcesses are the -arrival values arrivalTrace draws.
+var arrivalProcesses = map[string]bool{"poisson": true, "mmpp": true, "pareto": true, "lognormal": true}
+
+// check rejects open-loop and fault settings that cannot run, and
+// parses the burst window.
+func (ol *openLoopCfg) check() error {
+	if ol.process == "" {
+		if ol.faultP != 0 || ol.faultBurst != "" {
+			return fmt.Errorf("-fault-p and -fault-burst need the open-loop mode (set -arrival)")
+		}
+		return nil
+	}
+	if !arrivalProcesses[ol.process] {
+		return fmt.Errorf("unknown arrival process %q (want poisson, mmpp, pareto, or lognormal)", ol.process)
+	}
+	if !(ol.rate > 0) {
+		return fmt.Errorf("-rate must be positive, got %v", ol.rate)
+	}
+	if ol.arrivals < 0 {
+		return fmt.Errorf("-arrivals must be nonnegative, got %d", ol.arrivals)
+	}
+	if !(ol.faultP >= 0 && ol.faultP <= 1) {
+		return fmt.Errorf("-fault-p must be in [0,1], got %v", ol.faultP)
+	}
+	if ol.faultBurst == "" {
+		return nil
+	}
+	if ol.faultP == 0 {
+		return fmt.Errorf("-fault-burst needs -fault-p > 0")
+	}
+	if _, err := fmt.Sscanf(ol.faultBurst, "%d:%d", &ol.burstFrom, &ol.burstUntil); err != nil || ol.burstFrom < 1 || ol.burstUntil <= ol.burstFrom {
+		return fmt.Errorf("-fault-burst wants from:until with 1 <= from < until, got %q", ol.faultBurst)
+	}
+	return nil
+}
+
+// strategies are the -strategy values run accepts.
+var strategies = map[string]bool{
+	"all": true, "ecube-sf": true, "ecube-ct": true, "ecube-wh": true, "valiant": true, "ccc": true,
+	"dimorder": true, "minimal": true, "adaptive": true,
 }
 
 // strategyEntry is one selected strategy's prepared workload. Routing-
@@ -116,9 +160,18 @@ type strategyEntry struct {
 	flits    int
 }
 
-func run(n, flits int, seed int64, strategy string, obs bool, tracePath string, shards, windows int, ol openLoopCfg) error {
-	if shards < 0 {
-		return fmt.Errorf("-shards must be nonnegative, got %d", shards)
+func run(n, flits int, seed int64, strategy string, obs bool, tracePath string, windows int, ol openLoopCfg) error {
+	if flits < 1 {
+		return fmt.Errorf("-flits must be positive, got %d", flits)
+	}
+	if windows < 1 {
+		return fmt.Errorf("-windows must be at least 1, got %d", windows)
+	}
+	if !strategies[strategy] {
+		return fmt.Errorf("unknown strategy %q", strategy)
+	}
+	if err := ol.check(); err != nil {
+		return err
 	}
 	mc, err := multipath.CCCMultiCopy(n)
 	if err != nil {
@@ -187,19 +240,12 @@ func run(n, flits int, seed int64, strategy string, obs bool, tracePath string, 
 		entries = append(entries, strategyEntry{name: z.name, msgs: msgs, mode: netsim.CutThrough,
 			strat: z.mk(), pairs: pairs, host: q, links: q.DirectedEdges(), flits: flits})
 	}
-	if len(entries) == 0 {
-		return fmt.Errorf("unknown strategy %q", strategy)
-	}
 
 	if ol.process != "" {
-		return runOpenLoop(entries, ol, seed, obs, tracePath, shards, windows)
+		return runOpenLoop(entries, ol, seed, obs, tracePath, windows)
 	}
-	if ol.faultP != 0 || ol.faultBurst != "" {
-		return fmt.Errorf("-fault-p and -fault-burst need the open-loop mode (set -arrival)")
-	}
-
 	if obs || tracePath != "" {
-		return runObserved(entries, obs, tracePath, shards)
+		return runObserved(entries, obs, tracePath)
 	}
 
 	var jobs []netsim.BatchJob
@@ -210,7 +256,7 @@ func run(n, flits int, seed int64, strategy string, obs bool, tracePath string, 
 			continue
 		}
 		jobOf[i] = len(jobs)
-		jobs = append(jobs, netsim.BatchJob{Msgs: e.msgs, Mode: e.mode, Shards: shards})
+		jobs = append(jobs, netsim.BatchJob{Msgs: e.msgs, Mode: e.mode})
 	}
 	results, err := netsim.SimulateBatch(jobs)
 	if err != nil {
@@ -242,7 +288,7 @@ func printResult(name string, res *netsim.Result) {
 // (for -trace; its run counter keeps strategies separable in the
 // JSONL stream). Results are identical to the batch path — attaching a
 // probe never changes them.
-func runObserved(entries []strategyEntry, obs bool, tracePath string, shards int) error {
+func runObserved(entries []strategyEntry, obs bool, tracePath string) error {
 	var tw *obsv.TraceWriter
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -266,7 +312,7 @@ func runObserved(entries []strategyEntry, obs bool, tracePath string, shards int
 			}
 			res = &wr.Result
 		} else {
-			r, err := netsim.SimulateShardedProbed(e.msgs, e.mode, shards, probe)
+			r, err := netsim.SimulateProbed(e.msgs, e.mode, probe)
 			if err != nil {
 				return fmt.Errorf("%s: %w", e.name, err)
 			}
@@ -291,8 +337,8 @@ func runObserved(entries []strategyEntry, obs bool, tracePath string, shards int
 // arrivalTrace draws the configured arrival process, parameterized so
 // each has (where it exists) a mean rate of ol.rate arrivals per step:
 // the Pareto scale is (α−1)/(α·rate) at tail exponent α = 1.2, and the
-// log-normal location is −ln(rate) − σ²/2 at spread σ = 1.5. The trace
-// is materialized so every shard count can replay it identically.
+// log-normal location is −ln(rate) − σ²/2 at spread σ = 1.5. ol has
+// passed check, so the process is known and the rate positive.
 func arrivalTrace(ol openLoopCfg, seed int64, ntmpl int) (*netsim.Trace, error) {
 	switch ol.process {
 	case "poisson":
@@ -301,57 +347,37 @@ func arrivalTrace(ol openLoopCfg, seed int64, ntmpl int) (*netsim.Trace, error) 
 		return traffic.MMPPArrivals(seed, ol.rate/4, ol.rate*4, 200, ol.arrivals, ntmpl)
 	case "pareto":
 		const alpha = 1.2
-		if ol.rate <= 0 {
-			return nil, fmt.Errorf("-rate must be positive, got %v", ol.rate)
-		}
 		return traffic.ParetoArrivals(seed, alpha, (alpha-1)/(alpha*ol.rate), ol.arrivals, ntmpl)
-	case "lognormal":
+	default: // lognormal
 		const sigma = 1.5
-		if ol.rate <= 0 {
-			return nil, fmt.Errorf("-rate must be positive, got %v", ol.rate)
-		}
 		return traffic.LogNormalArrivals(seed, -math.Log(ol.rate)-sigma*sigma/2, sigma, ol.arrivals, ntmpl)
-	default:
-		return nil, fmt.Errorf("unknown arrival process %q (want poisson, mmpp, pareto, or lognormal)", ol.process)
 	}
 }
 
 // faultSchedule builds the open-loop fault oracle from the -fault-p /
-// -fault-seed / -fault-burst flags for a template pool spanning
-// numLinks directed links, or nil when faults are off.
-func faultSchedule(ol openLoopCfg, numLinks int) (*faults.Schedule, error) {
-	if ol.faultP < 0 || ol.faultP > 1 {
-		return nil, fmt.Errorf("-fault-p must be in [0,1], got %v", ol.faultP)
-	}
+// -fault-seed / -fault-burst flags (already checked) for a template
+// pool spanning numLinks directed links, or nil when faults are off.
+func faultSchedule(ol openLoopCfg, numLinks int) *faults.Schedule {
 	if ol.faultP == 0 {
-		if ol.faultBurst != "" {
-			return nil, fmt.Errorf("-fault-burst needs -fault-p > 0")
-		}
-		return nil, nil
+		return nil
 	}
 	sched := faults.Bernoulli(numLinks, ol.faultP, ol.faultSeed)
 	if ol.faultBurst != "" {
-		var from, until int
-		if _, err := fmt.Sscanf(ol.faultBurst, "%d:%d", &from, &until); err != nil || from < 1 || until <= from {
-			return nil, fmt.Errorf("-fault-burst wants from:until with 1 <= from < until, got %q", ol.faultBurst)
-		}
-		sched = faults.Union(sched, faults.BernoulliWindow(numLinks, ol.faultP, ol.faultSeed+911, from, until))
+		sched = faults.Union(sched, faults.BernoulliWindow(numLinks, ol.faultP, ol.faultSeed+911, ol.burstFrom, ol.burstUntil))
 	}
-	return sched, nil
+	return sched
 }
 
 // runOpenLoop runs each selected buffered strategy open-loop: its
 // message set becomes the template pool and the configured arrival
-// process injects instances over time through the sharded engine
-// (shards ≤ 1 is exactly the single-shard engine, and every shard
-// count is bit-identical). -fault-p degrades the fabric under the
+// process injects instances over time. -fault-p degrades the fabric under the
 // arrivals; the report then adds failed/dropped accounting. Wormhole
 // switching has no open-loop model and is skipped with a note. A
 // Feedback strategy (adaptive) instead runs windowed through
 // routing.Run — routes re-drawn between windows on queue-depth
-// feedback — which is single-shard and carries its own internal probe,
-// so -trace skips it with a note.
-func runOpenLoop(entries []strategyEntry, ol openLoopCfg, seed int64, obs bool, tracePath string, shards, windows int) error {
+// feedback — which carries its own internal probe, so -trace skips it
+// with a note.
+func runOpenLoop(entries []strategyEntry, ol openLoopCfg, seed int64, obs bool, tracePath string, windows int) error {
 	var tw *obsv.TraceWriter
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -390,10 +416,7 @@ func runOpenLoop(entries []strategyEntry, ol openLoopCfg, seed int64, obs bool, 
 				}
 			}
 		}
-		sched, err := faultSchedule(ol, numLinks)
-		if err != nil {
-			return err
-		}
+		sched := faultSchedule(ol, numLinks)
 		opts := netsim.OpenLoopOpts{Mode: e.mode, Sink: lat.MsgLatency}
 		if sched != nil {
 			opts.Faults = sched
@@ -405,7 +428,7 @@ func runOpenLoop(entries []strategyEntry, ol openLoopCfg, seed int64, obs bool, 
 		} else if tw != nil {
 			opts.Probe = tw
 		}
-		res, err := netsim.SimulateOpenLoopSharded(e.msgs, tr.Source(), opts, shards)
+		res, err := netsim.SimulateOpenLoop(e.msgs, tr.Source(), opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
@@ -444,10 +467,7 @@ func runOpenLoopWindowed(e strategyEntry, ol openLoopCfg, seed int64, obs bool, 
 	if err != nil {
 		return err
 	}
-	sched, err := faultSchedule(ol, e.links)
-	if err != nil {
-		return err
-	}
+	sched := faultSchedule(ol, e.links)
 	lat := obsv.NewRecorder()
 	cfg := routing.RunConfig{
 		Flits:   e.flits,

@@ -135,3 +135,40 @@ func TestTransitionCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestGrayWirelength pins the reflected Gray code's wirelengths
+// exactly. Placing node v of Q_n at position GrayRank(v) and summing,
+// over the n·2^(n−1) edges of Q_n, the distance between the endpoints'
+// positions gives
+//
+//   - on the cycle C_(2^n) (distance min(δ, 2^n − δ)): the
+//     Chavez–Trapp minimum 3·2^(2n−3) − 2^(n−1), which Liu–Tang
+//     (arXiv:2108.08177) prove Gray coding attains;
+//   - on the path P_(2^n) (distance δ): Harper's minimum
+//     2^(n−1)·(2^n − 1).
+func TestGrayWirelength(t *testing.T) {
+	for n := 2; n <= 12; n++ {
+		size := 1 << n
+		circular, linear := 0, 0
+		for v := 0; v < size; v++ {
+			for d := 0; d < n; d++ {
+				u := v ^ 1<<d
+				if u < v {
+					continue
+				}
+				delta := int(GrayRank(uint32(v))) - int(GrayRank(uint32(u)))
+				if delta < 0 {
+					delta = -delta
+				}
+				linear += delta
+				circular += min(delta, size-delta)
+			}
+		}
+		if want := 3<<(2*n-3) - 1<<(n-1); circular != want {
+			t.Errorf("n=%d: circular wirelength %d, want 3·2^(2n−3) − 2^(n−1) = %d", n, circular, want)
+		}
+		if want := (1 << (n - 1)) * (size - 1); linear != want {
+			t.Errorf("n=%d: linear wirelength %d, want 2^(n−1)(2^n − 1) = %d", n, linear, want)
+		}
+	}
+}

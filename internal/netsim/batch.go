@@ -11,12 +11,6 @@ import (
 type BatchJob struct {
 	Msgs []*Message
 	Mode Mode
-	// Shards, when > 1, runs this job through the partitioned engine
-	// (SimulateSharded) with that many shard workers — for batches of
-	// few huge jobs rather than many small ones. 0 or 1 uses the
-	// single-shard engine; results are bit-identical either way.
-	// Negative values are rejected by SimulateBatch.
-	Shards int
 }
 
 // SimulateBatch runs independent simulations across GOMAXPROCS worker
@@ -28,11 +22,6 @@ type BatchJob struct {
 // results for jobs that completed are still returned.
 func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 	results := make([]*Result, len(jobs))
-	for i := range jobs {
-		if jobs[i].Shards < 0 {
-			return results, fmt.Errorf("netsim: batch job %d: negative shard count %d", i, jobs[i].Shards)
-		}
-	}
 	if len(jobs) == 0 {
 		return results, nil
 	}
@@ -57,11 +46,7 @@ func SimulateBatch(jobs []BatchJob) ([]*Result, error) {
 				if i >= len(jobs) {
 					return
 				}
-				if jobs[i].Shards > 1 {
-					results[i], errs[i] = SimulateSharded(jobs[i].Msgs, jobs[i].Mode, jobs[i].Shards)
-				} else {
-					results[i], errs[i] = e.simulate(jobs[i].Msgs, OpenLoopOpts{Mode: jobs[i].Mode})
-				}
+				results[i], errs[i] = e.simulate(jobs[i].Msgs, OpenLoopOpts{Mode: jobs[i].Mode})
 			}
 		}()
 	}

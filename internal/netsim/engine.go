@@ -138,9 +138,8 @@ type routeShape struct {
 
 // numberAll validates the messages and runs the contiguous
 // link-numbering pass in one scan, returning the run's shape. Every
-// engine path (the serial and sharded step loops and simulateWormhole)
-// starts here, so flit validation and numbering cannot
-// drift between them. A warm engine performs no allocation in this
+// engine path (the step loop and simulateWormhole) starts here, so
+// flit validation and numbering cannot drift between them. A warm engine performs no allocation in this
 // pass (pinned by TestNumberAllNoAllocs).
 func (e *engine) numberAll(msgs []*Message) (routeShape, error) {
 	var sh routeShape

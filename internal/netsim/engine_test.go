@@ -217,9 +217,25 @@ func TestSimulateBatchEmptyAndError(t *testing.T) {
 	if res[0] == nil {
 		t.Error("healthy job result dropped on sibling failure")
 	}
-	if _, err := SimulateBatch([]BatchJob{
-		{Msgs: []*Message{{Route: []int{1}, Flits: 1}}, Mode: CutThrough, Shards: -2},
-	}); err == nil {
-		t.Error("negative shard count accepted")
+}
+
+// TestNumberAllNoAllocs pins the shared numbering pass (the step loop
+// and simulateWormhole both run through numberAll) to zero allocations
+// on a warm engine.
+func TestNumberAllNoAllocs(t *testing.T) {
+	q := hypercube.New(4)
+	rng := rand.New(rand.NewSource(3))
+	msgs := permMessages(q, rng.Perm(q.Nodes()), 2)
+	e := newEngine()
+	if _, err := e.numberAll(msgs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.numberAll(msgs); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("numberAll allocates %v per run on a warm engine", allocs)
 	}
 }

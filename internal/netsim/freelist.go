@@ -37,9 +37,5 @@ func (l *freeList[T]) put(x *T) {
 	l.mu.Unlock()
 }
 
-// engines holds the idle engines of every pooled entry point, and
-// shardedEngines those of the sharded ones.
-var (
-	engines        = freeList[engine]{build: newEngine}
-	shardedEngines = freeList[olSharded]{build: func() *olSharded { return &olSharded{e: newEngine()} }}
-)
+// engines holds the idle engines of every pooled entry point.
+var engines = freeList[engine]{build: newEngine}

@@ -26,7 +26,7 @@ func mallocsOnce(f func()) uint64 {
 // and its buffers outlive garbage collection, so the first run after
 // two GCs allocates exactly what a warm run does (a sync.Pool would
 // have been emptied, and the run would rebuild the engine). It then
-// drives the batch and sharded entry points from more goroutines than
+// drives the batch and open-loop entry points from more goroutines than
 // the list holds: every result must match the serial one, and the list
 // must stay within GOMAXPROCS entries.
 func TestEngineSurvivesGC(t *testing.T) {
@@ -68,10 +68,8 @@ func TestEngineSurvivesGC(t *testing.T) {
 	var jobs []BatchJob
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, BatchJob{
-			Msgs:   permMessages(q, rng.Perm(q.Nodes()), 1+i%3),
-			Mode:   Mode(i % 2),
-			Shards: i % 3, // some jobs borrow sharded engines too
-
+			Msgs: permMessages(q, rng.Perm(q.Nodes()), 1+i%3),
+			Mode: Mode(i % 2),
 		})
 	}
 	wantBatch := make([]*Result, len(jobs))
@@ -95,9 +93,9 @@ func TestEngineSurvivesGC(t *testing.T) {
 				}
 				if err == nil {
 					var ol *OpenLoopResult
-					ol, err = SimulateOpenLoopSharded(tmpls, tr.Source(), opts, 2+c%3)
+					ol, err = SimulateOpenLoop(tmpls, tr.Source(), opts)
 					if err == nil && !reflect.DeepEqual(ol, wantOL) {
-						err = fmt.Errorf("caller %d: %d-shard open-loop result differs from serial", c, 2+c%3)
+						err = fmt.Errorf("caller %d: concurrent open-loop result differs from serial", c)
 					}
 				}
 				if err != nil {
@@ -113,11 +111,8 @@ func TestEngineSurvivesGC(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	limit := runtime.GOMAXPROCS(0)
-	for name, n := range map[string]int{"engines": freeLen(&engines), "shardedEngines": freeLen(&shardedEngines)} {
-		if n > limit {
-			t.Errorf("%s holds %d idle entries, limit GOMAXPROCS = %d", name, n, limit)
-		}
+	if n, limit := freeLen(&engines), runtime.GOMAXPROCS(0); n > limit {
+		t.Errorf("engines holds %d idle entries, limit GOMAXPROCS = %d", n, limit)
 	}
 }
 

@@ -13,9 +13,9 @@ package netsim
 // The contract follows the Probe discipline exactly: every call site is
 // guarded by a nil-check on OpenLoopOpts.Listener, so a listener-off
 // run is bit-identical to the pre-listener engine and pays only
-// untaken branches. Events fire in a canonical order that is identical
-// across SimulateOpenLoop and SimulateOpenLoopSharded at every shard
-// count:
+// untaken branches. Events fire in a canonical order that does not
+// depend on the engine's internal worklist order, so a replayed run
+// repeats its event stream exactly:
 //
 //   - Within a step, LinkDown events fire in ascending external link
 //     id order, each immediately followed by the MsgFailed events of
@@ -25,9 +25,8 @@ package netsim
 //     from a callback for step t+k is seen by the engine before any
 //     step-t arrival is pulled.
 //
-// Listeners are called synchronously from the simulation loop (in the
-// sharded engine, from single-threaded barrier actions); they must not
-// call back into the running engine.
+// Listeners are called synchronously from the simulation loop; they
+// must not call back into the running engine.
 type FaultListener interface {
 	// LinkDown reports that the fault schedule's permanent outage of a
 	// link was observed at step: traffic queued on the link tried to

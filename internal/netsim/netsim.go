@@ -26,17 +26,17 @@
 // The simulation core is a dense, worklist-driven engine: a numbering
 // pass gives links contiguous ids, per-link FIFOs live in flat reusable
 // slices, and each step touches only links that can move a flit. There
-// is one store-and-forward / cut-through step loop per topology — the
-// serial loop of SimulateOpenLoop and the sharded loop of
-// SimulateOpenLoopSharded — and the closed-loop entry points (Simulate,
-// SimulateFaults, SimulateSharded, ...) run them with every message
-// arriving at step 0. Every entry point draws engines from a bounded
-// free list that garbage collection does not empty: up to GOMAXPROCS
-// engines, each with buffers sized to the largest run it has served,
-// stay alive across GCs. SimulateBatch fans independent simulations
-// out across GOMAXPROCS workers. The original map-scanning simulator is retained as
-// SimulateReference — the golden model for equivalence tests and
-// old-vs-new benchmarks.
+// is one store-and-forward / cut-through step loop, the single-goroutine
+// loop of SimulateOpenLoop, and the closed-loop entry points (Simulate,
+// SimulateFaults, SimulateProbed) run it with every message arriving at
+// step 0. Every entry point draws engines from a bounded free list that
+// garbage collection does not empty: up to GOMAXPROCS engines, each
+// with buffers sized to the largest run it has served, stay alive
+// across GCs. Parallelism is across independent runs: SimulateBatch
+// fans them out across GOMAXPROCS workers, one engine each. The
+// original map-scanning simulator is retained as SimulateReference and
+// the naive open-loop model as SimulateOpenLoopReference — the golden
+// models for equivalence tests and old-vs-new benchmarks.
 package netsim
 
 import "fmt"

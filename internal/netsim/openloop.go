@@ -181,7 +181,7 @@ type OpenLoopOpts struct {
 // misbehave: a negative MeasureAfter admits every message into the
 // steady-state window, and a negative StepLimit disables the livelock
 // bound without enabling the graceful timeout. Every open-loop entry
-// point (engine, reference, sharded) runs this first.
+// point (engine and reference) runs this first.
 func (o *OpenLoopOpts) validate() error {
 	if o.StepLimit < 0 {
 		return fmt.Errorf("netsim: OpenLoopOpts.StepLimit is negative (%d)", o.StepLimit)
@@ -231,7 +231,7 @@ func SimulateOpenLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts) (*
 	return olr, err
 }
 
-// closedRun is what a closed-loop entry point hands the step loops
+// closedRun is what a closed-loop entry point hands the step loop
 // beyond OpenLoopOpts. With burst set, template i arrives at step 0 as
 // message i and there is no source — the trace that defines the
 // closed-loop model.
@@ -245,16 +245,15 @@ type closedRun struct {
 	offset int
 }
 
-// closedOpts maps closed-loop fault options onto the step loops'
+// closedOpts maps closed-loop fault options onto the step loop's
 // options. A closed-loop StepLimit ≤ 0 means "no timeout".
 func closedOpts(mode Mode, opts FaultOpts) OpenLoopOpts {
 	return OpenLoopOpts{Mode: mode, Faults: opts.Faults, StepLimit: max(opts.StepLimit, 0), Probe: opts.Probe}
 }
 
-// olRun is the run state the serial and sharded step loops share: the
-// arrival stream, pulled one arrival ahead of the clock; the in-flight
-// counters the livelock bound and the leap clock read; and the result
-// being built.
+// olRun is the state of one run of the step loop: the arrival stream,
+// pulled one arrival ahead of the clock; the in-flight counters the
+// livelock bound and the leap clock read; and the result being built.
 type olRun struct {
 	tmpls []*Message
 	src   ArrivalSource // nil for a closed-loop burst
@@ -408,7 +407,7 @@ func (e *engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 	step := 0
 	lastProgress := 0
 	if cl.burst {
-		e.olBurst(&r, e.olEnqueue)
+		e.olBurst(&r)
 	}
 	for {
 		if r.live == 0 {
@@ -455,8 +454,8 @@ func (e *engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 		if graceful && step > opts.StepLimit {
 			olr.TimedOut = true
 			// Sweep in ascending message id order — the canonical
-			// failure order shared with the sharded engine and the
-			// reference model (slot order is arrival-history-dependent).
+			// failure order shared with the reference model (slot order
+			// is arrival-history-dependent).
 			sweep := e.kill[:0]
 			for s := range e.olSlotMsg {
 				if e.olSlotMsg[s] >= 0 {
@@ -467,7 +466,7 @@ func (e *engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 				return cmp.Compare(e.olSlotMsg[a], e.olSlotMsg[b])
 			})
 			for _, s := range sweep {
-				e.olFailSlot(&r, s, opts.StepLimit, -1, nil)
+				e.olFailSlot(&r, s, opts.StepLimit, -1)
 				e.olSlotDead[s] = false
 				e.olSlotMsg[s] = -1
 			}
@@ -505,7 +504,6 @@ func (e *engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 		// nor which of two down links gets the blame. The kill set is
 		// itself loop-order-invariant: a down link moves nothing, so its
 		// queue's sendable set cannot change during the transfer phase.
-		// The sharded engine's kill barrier replays the same order.
 		// Killed slots stay marked dead through the arrival phase (their
 		// flits moved this step must not feed downstream hops) and are
 		// recycled at the end of the step.
@@ -513,14 +511,11 @@ func (e *engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 		if len(down) > 0 {
 			slices.Sort(down)
 			for _, l := range down {
-				e.olKillQueued(&r, l, step, nil)
+				e.olKillQueued(&r, l, step)
 			}
 			killed = len(e.olKilled) > 0
 		}
 		e.down = down
-		if e.probe != nil {
-			e.olProbeDeliveries(arr, killed, step)
-		}
 		enq := e.olArrive(&r, arr, e.enq[:0], killed, step)
 		// Recycle slots killed this step (after the arrival phase so
 		// their dead flags were visible to it; before injections so a
@@ -582,8 +577,8 @@ func (e *engine) openLoop(tmpls []*Message, src ArrivalSource, opts OpenLoopOpts
 // the next step is rebuilt in e.work. Like olArrive it is its own
 // function, so the per-flit loop is compiled apart from the per-step
 // state, and it has no probe call site: the probe hears about the
-// step's moves and deliveries from olProbeMoves and olProbeDeliveries,
-// which replay the batches in the order the loops produced them.
+// step's moves from olProbeMoves, which replays the batch in move order,
+// and about deliveries from olArrive.
 func (e *engine) olTransfer(cur, arr, down []int32, faults LinkFaults, offset, step int) ([]int32, []int32) {
 	for _, l := range cur {
 		if e.credit[l] <= 0 {
@@ -650,31 +645,16 @@ func (e *engine) olProbeMoves(arr []int32, step int) {
 	}
 }
 
-// olProbeDeliveries reports the step's flit deliveries and message
-// completions to the probe, in arrival order. It runs after the kill
-// phase (a killed slot's flits do not deliver) and before olArrive
-// releases the completed slots.
-func (e *engine) olProbeDeliveries(arr []int32, killed bool, step int) {
-	for _, p := range arr {
-		s := e.olPosSlot[p]
-		if p+1 != e.olSlotEnd[s] || killed && e.olSlotDead[s] {
-			continue
-		}
-		msg := e.olSlotMsg[s]
-		e.probe.FlitDelivered(step, msg)
-		if e.olCrossed[p] == e.olSlotFl[s] {
-			e.probe.MsgDone(step, msg, true)
-		}
-	}
-}
-
 // olArrive is a step's arrival phase: every flit moved this step
 // arrives at its next hop (or delivers), and the positions that must
 // join their link's FIFO are appended to enq. Credits, deliveries, and
 // the worklist are order-independent; only the order in which new
 // requests join a FIFO is observable, so the caller sorts enq. Each
 // position arrives at most once per step, so enq is duplicate-free.
-// killed reports that this step's kill phase failed a slot.
+// killed reports that this step's kill phase failed a slot; a killed
+// slot's flits neither deliver nor feed downstream hops. A flit that
+// reaches its destination is reported to the probe here, in arrival
+// order, followed by its message's completion.
 func (e *engine) olArrive(r *olRun, arr, enq []int32, killed bool, step int) []int32 {
 	mode := r.opts.Mode
 	for _, p := range arr {
@@ -685,6 +665,9 @@ func (e *engine) olArrive(r *olRun, arr, enq []int32, killed bool, step int) []i
 		flits := e.olSlotFl[s]
 		next := p + 1
 		if next == e.olSlotEnd[s] {
+			if e.probe != nil {
+				e.probe.FlitDelivered(step, e.olSlotMsg[s])
+			}
 			if e.olCrossed[p] == flits {
 				// Recycling is safe immediately: a message delivering
 				// at this step moved no other flit this step (all its
@@ -736,8 +719,7 @@ func (e *engine) olPosCmp(a, b int32) int {
 // olReset resets the slot arena for a new run: truncate (capacity
 // survives across runs). The per-template free lists are sized by the
 // first olRelease that needs them, so a run that never recycles (every
-// closed-loop run) never touches them. Shared by the serial and sharded
-// loops.
+// closed-loop run) never touches them.
 func (e *engine) olReset() {
 	e.olSlotTmpl = e.olSlotTmpl[:0]
 	e.olSlotOff = e.olSlotOff[:0]
@@ -771,7 +753,7 @@ func (e *engine) olFreeInit(ntmpl int) {
 
 // olBurst injects every template at step 0 as the message with its own
 // index — the closed-loop trace — in one pass over an empty arena, and
-// hands each base position, in message order, to enqueue. Slot i is
+// enqueues each base position in message order. Slot i is
 // template i at the template's own positions, so the numbering pass's
 // route and owner arrays already are the arena's position → link and
 // position → slot maps: the arena takes them over, leaving route and
@@ -779,7 +761,7 @@ func (e *engine) olFreeInit(ntmpl int) {
 // no listener, so no slot is ever added by olNewSlot, the only reader
 // of the template routes once a run has started). Empty-route templates
 // keep a zero-length slot that never goes live.
-func (e *engine) olBurst(r *olRun, enqueue func(p int32)) {
+func (e *engine) olBurst(r *olRun) {
 	n := len(r.tmpls)
 	total := int(e.off[n])
 	e.olRoute, e.route = e.route[:total], e.olRoute[:0]
@@ -821,7 +803,7 @@ func (e *engine) olBurst(r *olRun, enqueue func(p int32)) {
 		e.olArrived[base] = int32(m.Flits)
 		r.live++
 		r.inFlight += m.Flits
-		enqueue(base)
+		e.olEnqueue(base)
 	}
 	olr.MaxInFlight = r.live
 	r.nextMsg = int32(n)
@@ -892,11 +874,13 @@ func (e *engine) olDeliverEmpty(r *olRun, msg int32, step int) {
 }
 
 // olDeliver completes the message in slot s, whose last flit arrived at
-// step, and releases the slot. The probe's delivery events are the
-// caller's (the sharded engine emits them in its canonical flush).
+// step, and releases the slot.
 func (e *engine) olDeliver(r *olRun, s int32, step int) {
 	msg, arrival := e.olSlotMsg[s], e.olSlotArr[s]
 	r.olr.DeliveredMsgs++
+	if e.probe != nil {
+		e.probe.MsgDone(step, msg, true)
+	}
 	if r.opts.Sink != nil && arrival >= r.opts.MeasureAfter {
 		r.opts.Sink.Observe(step - arrival)
 	}
@@ -980,8 +964,8 @@ func (e *engine) olEnqueue(p int32) {
 // alone; they fail on the later step their flits arrive. A slot may be
 // queued on l at two hops (routes can repeat a link); olFailSlot's dead
 // check keeps the kill idempotent. Killed slots are appended to
-// olKilled; ev is as for olFailSlot.
-func (e *engine) olKillQueued(r *olRun, l int32, step int, ev *[]killEvent) {
+// olKilled.
+func (e *engine) olKillQueued(r *olRun, l int32, step int) {
 	if r.opts.Listener != nil {
 		r.opts.Listener.LinkDown(step, e.ext[l], true)
 	}
@@ -994,7 +978,7 @@ func (e *engine) olKillQueued(r *olRun, l int32, step int, ev *[]killEvent) {
 	}
 	blame := e.ext[l]
 	for _, s := range e.kill {
-		if e.olFailSlot(r, s, step, blame, ev) {
+		if e.olFailSlot(r, s, step, blame) {
 			e.olKilled = append(e.olKilled, s)
 		}
 	}
@@ -1004,12 +988,10 @@ func (e *engine) olKillQueued(r *olRun, l int32, step int, ev *[]killEvent) {
 // from their FIFOs, returns their credits, accounts every not-yet-moved
 // flit-hop as dropped, and reports the failure — blame is the external
 // id of the killing link (-1 for StepLimit sweeps), forwarded to the
-// outcome and the FaultListener. The probe events go to the probe
-// directly, or into *ev when the caller flushes them later in a
-// canonical order (the sharded engine). Idempotent per step; the
+// outcome, the probe and the FaultListener. Idempotent per step; the
 // caller recycles the slot once the arrival phase has seen the dead
 // flag. Reports whether this call did the kill.
-func (e *engine) olFailSlot(r *olRun, s int32, step, blame int, ev *[]killEvent) bool {
+func (e *engine) olFailSlot(r *olRun, s int32, step, blame int) bool {
 	if e.olSlotDead[s] {
 		return false
 	}
@@ -1032,12 +1014,8 @@ func (e *engine) olFailSlot(r *olRun, s int32, step, blame int, ev *[]killEvent)
 	r.olr.DroppedFlits += dropped
 	msg := e.olSlotMsg[s]
 	if e.probe != nil {
-		if ev != nil {
-			*ev = append(*ev, killEvent{msg: msg, dropped: dropped})
-		} else {
-			e.probe.FlitsDropped(step, msg, dropped)
-			e.probe.MsgDone(step, msg, false)
-		}
+		e.probe.FlitsDropped(step, msg, dropped)
+		e.probe.MsgDone(step, msg, false)
 	}
 	if r.opts.PerMessage != nil {
 		r.opts.PerMessage(msg, e.olSlotArr[s], step, false)

@@ -51,6 +51,10 @@ func decodeFuzzArrivals(data []byte, ntmpl int) *Trace {
 //   - generalized conservation: FlitsMoved + DroppedFlits equals the
 //     injected flit-hops, and DeliveredMsgs + FailedMsgs equals the
 //     injected count;
+//   - latency floor: every delivered message of f flits on an h-hop
+//     route took ≥ h + f − 1 steps under CutThrough and ≥ h·f under
+//     StoreAndForward, 0 on an empty route, in the engine and in the
+//     reference (checked inside runBoth);
 //   - determinism: replaying the same trace gives identical results
 //     (checked inside runBoth).
 func FuzzSimulateOpenLoop(f *testing.F) {

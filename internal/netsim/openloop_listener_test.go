@@ -51,11 +51,10 @@ func listenerTrace() *Trace {
 
 // TestOpenLoopListenerInert holds the listener contract's two pillars
 // on a faulty, timing-out run: (1) attaching a non-reacting listener
-// never changes results, per-message records, or latency sinks, at
-// shard counts {1, 2, 3, 8}; (2) the event stream is identical —
-// same events, same order — at every shard count, with LinkDown
-// ascending by link within a step and StepLimit sweeps blaming link
-// -1 in ascending message order.
+// never changes results, per-message records, or latency sinks; (2)
+// the event stream replays identically — same events, same order —
+// with LinkDown ascending by link within a step and StepLimit sweeps
+// blaming link -1 in ascending message order.
 func TestOpenLoopListenerInert(t *testing.T) {
 	tmpls := listenerTmpls()
 	sched := faults.NewSchedule().
@@ -77,7 +76,7 @@ func TestOpenLoopListenerInert(t *testing.T) {
 		slices.Sort(baseSink.vals)
 
 		var first []lisEvent
-		for _, shards := range []int{1, 2, 3, 8} {
+		for rep := range 2 {
 			lis := &recListener{}
 			rec := map[int32]msgRec{}
 			sink := &sliceSink{}
@@ -85,26 +84,26 @@ func TestOpenLoopListenerInert(t *testing.T) {
 			lo.Listener = lis
 			lo.PerMessage = recordPerMsg(rec)
 			lo.Sink = sink
-			olr, err := SimulateOpenLoopSharded(tmpls, listenerTrace().Source(), lo, shards)
+			olr, err := SimulateOpenLoop(tmpls, listenerTrace().Source(), lo)
 			if err != nil {
-				t.Fatalf("%v/shards=%d: %v", mode, shards, err)
+				t.Fatalf("%v/rep=%d: %v", mode, rep, err)
 			}
 			if !reflect.DeepEqual(olr, base) {
-				t.Fatalf("%v/shards=%d: listener changed result:\nwith    %+v\nwithout %+v", mode, shards, *olr, *base)
+				t.Fatalf("%v/rep=%d: listener changed result:\nwith    %+v\nwithout %+v", mode, rep, *olr, *base)
 			}
 			if !reflect.DeepEqual(rec, baseRec) {
-				t.Fatalf("%v/shards=%d: listener changed per-message records", mode, shards)
+				t.Fatalf("%v/rep=%d: listener changed per-message records", mode, rep)
 			}
 			slices.Sort(sink.vals)
 			if !reflect.DeepEqual(sink.vals, baseSink.vals) {
-				t.Fatalf("%v/shards=%d: listener changed sink: %v vs %v", mode, shards, sink.vals, baseSink.vals)
+				t.Fatalf("%v/rep=%d: listener changed sink: %v vs %v", mode, rep, sink.vals, baseSink.vals)
 			}
 			if first == nil {
 				first = lis.ev
 				continue
 			}
 			if !reflect.DeepEqual(lis.ev, first) {
-				t.Fatalf("%v/shards=%d: event stream diverged:\n%v\nvs shards=1\n%v", mode, shards, lis.ev, first)
+				t.Fatalf("%v/rep=%d: event stream diverged on replay:\n%v\nvs\n%v", mode, rep, lis.ev, first)
 			}
 		}
 
@@ -187,8 +186,8 @@ func (s *rerouteProbeSession) MsgFailed(step int, msg int32, link int) {
 // TestOpenLoopListenerReroute drives the reroute-injection mechanism:
 // the source is exhausted when link 0 dies, the listener schedules a
 // replacement arrival on the disjoint sibling route, and the engine's
-// re-poll picks it up — identically at every shard count, with
-// conservation over the grown injected set.
+// re-poll picks it up — identically on replay, with conservation over
+// the grown injected set.
 func TestOpenLoopListenerReroute(t *testing.T) {
 	tmpls := []*Message{
 		{Route: []int{0, 1}, Flits: 3},
@@ -198,7 +197,7 @@ func TestOpenLoopListenerReroute(t *testing.T) {
 	for _, mode := range []Mode{StoreAndForward, CutThrough} {
 		var baseline *OpenLoopResult
 		var firstEv []lisEvent
-		for _, shards := range []int{1, 2, 3, 8} {
+		for rep := range 2 {
 			ses := &rerouteProbeSession{queue: []Arrival{{Step: 0, Tmpl: 0}}}
 			rec := map[int32]msgRec{}
 			opts := OpenLoopOpts{
@@ -208,36 +207,36 @@ func TestOpenLoopListenerReroute(t *testing.T) {
 				PerMessage: recordPerMsg(rec),
 				Listener:   ses,
 			}
-			olr, err := SimulateOpenLoopSharded(tmpls, ses, opts, shards)
+			olr, err := SimulateOpenLoop(tmpls, ses, opts)
 			if err != nil {
-				t.Fatalf("%v/shards=%d: %v", mode, shards, err)
+				t.Fatalf("%v/rep=%d: %v", mode, rep, err)
 			}
 			if olr.Injected != 2 || olr.DeliveredMsgs != 1 || olr.FailedMsgs != 1 {
-				t.Fatalf("%v/shards=%d: injected %d delivered %d failed %d, want 2/1/1",
-					mode, shards, olr.Injected, olr.DeliveredMsgs, olr.FailedMsgs)
+				t.Fatalf("%v/rep=%d: injected %d delivered %d failed %d, want 2/1/1",
+					mode, rep, olr.Injected, olr.DeliveredMsgs, olr.FailedMsgs)
 			}
 			if r := rec[0]; r.delivered || r.done != 2 {
-				t.Fatalf("%v/shards=%d: original message record %+v, want failed at step 2", mode, shards, r)
+				t.Fatalf("%v/rep=%d: original message record %+v, want failed at step 2", mode, rep, r)
 			}
 			if r := rec[1]; !r.delivered || r.arr != 5 {
-				t.Fatalf("%v/shards=%d: reroute record %+v, want delivered, arrival 5", mode, shards, r)
+				t.Fatalf("%v/rep=%d: reroute record %+v, want delivered, arrival 5", mode, rep, r)
 			}
 			if olr.FlitsMoved+olr.DroppedFlits != olr.InjectedHops {
-				t.Fatalf("%v/shards=%d: conservation: moved %d + dropped %d != injected hops %d",
-					mode, shards, olr.FlitsMoved, olr.DroppedFlits, olr.InjectedHops)
+				t.Fatalf("%v/rep=%d: conservation: moved %d + dropped %d != injected hops %d",
+					mode, rep, olr.FlitsMoved, olr.DroppedFlits, olr.InjectedHops)
 			}
 			if olr.TimedOut {
-				t.Fatalf("%v/shards=%d: run timed out", mode, shards)
+				t.Fatalf("%v/rep=%d: run timed out", mode, rep)
 			}
 			if baseline == nil {
 				baseline, firstEv = olr, ses.ev
 				continue
 			}
 			if !reflect.DeepEqual(olr, baseline) {
-				t.Fatalf("%v/shards=%d: result diverged: %+v vs %+v", mode, shards, *olr, *baseline)
+				t.Fatalf("%v/rep=%d: result diverged: %+v vs %+v", mode, rep, *olr, *baseline)
 			}
 			if !reflect.DeepEqual(ses.ev, firstEv) {
-				t.Fatalf("%v/shards=%d: event stream diverged: %v vs %v", mode, shards, ses.ev, firstEv)
+				t.Fatalf("%v/rep=%d: event stream diverged: %v vs %v", mode, rep, ses.ev, firstEv)
 			}
 		}
 	}
@@ -255,27 +254,25 @@ func TestOpenLoopListenerRepollChain(t *testing.T) {
 		{Route: []int{4, 5}, Flits: 2},
 	}
 	sched := faults.NewSchedule().FailLink(0, 2).FailLink(2, 1)
-	for _, shards := range []int{1, 3} {
-		ses := &chainSession{queue: []Arrival{{Step: 0, Tmpl: 0}}}
-		rec := map[int32]msgRec{}
-		opts := OpenLoopOpts{
-			Mode:       StoreAndForward,
-			Faults:     sched,
-			StepLimit:  60,
-			PerMessage: recordPerMsg(rec),
-			Listener:   ses,
-		}
-		olr, err := SimulateOpenLoopSharded(tmpls, ses, opts, shards)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if olr.Injected != 3 || olr.DeliveredMsgs != 1 || olr.FailedMsgs != 2 {
-			t.Fatalf("shards=%d: injected %d delivered %d failed %d, want 3/1/2",
-				shards, olr.Injected, olr.DeliveredMsgs, olr.FailedMsgs)
-		}
-		if r := rec[2]; !r.delivered {
-			t.Fatalf("shards=%d: final reroute not delivered: %+v", shards, r)
-		}
+	ses := &chainSession{queue: []Arrival{{Step: 0, Tmpl: 0}}}
+	rec := map[int32]msgRec{}
+	opts := OpenLoopOpts{
+		Mode:       StoreAndForward,
+		Faults:     sched,
+		StepLimit:  60,
+		PerMessage: recordPerMsg(rec),
+		Listener:   ses,
+	}
+	olr, err := SimulateOpenLoop(tmpls, ses, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if olr.Injected != 3 || olr.DeliveredMsgs != 1 || olr.FailedMsgs != 2 {
+		t.Fatalf("injected %d delivered %d failed %d, want 3/1/2",
+			olr.Injected, olr.DeliveredMsgs, olr.FailedMsgs)
+	}
+	if r := rec[2]; !r.delivered {
+		t.Fatalf("final reroute not delivered: %+v", r)
 	}
 }
 

@@ -40,7 +40,8 @@ func (p *doneProbe) MsgDone(step int, msg int32, _ bool) { p.done[msg] = step }
 // runBoth runs the naive reference and the engine on the same trace
 // and asserts bit-identity: same OpenLoopResult (SkippedSteps aside —
 // the reference never skips), same per-message records, same latency
-// multiset. Returns the engine's result and records.
+// multiset. Both models' records must also respect the latency floor
+// (checkLatencyFloor). Returns the engine's result and records.
 func runBoth(t *testing.T, tmpls []*Message, tr *Trace, opts OpenLoopOpts) (*OpenLoopResult, map[int32]msgRec) {
 	t.Helper()
 	refRec := map[int32]msgRec{}
@@ -71,6 +72,8 @@ func runBoth(t *testing.T, tmpls []*Message, tr *Trace, opts OpenLoopOpts) (*Ope
 	if !reflect.DeepEqual(&cmp, ref) {
 		t.Fatalf("result diverged:\nengine    %+v\nreference %+v", cmp, *ref)
 	}
+	checkLatencyFloor(t, "reference", tmpls, tr, opts.Mode, refRec)
+	checkLatencyFloor(t, "engine", tmpls, tr, opts.Mode, optRec)
 	if !reflect.DeepEqual(optRec, refRec) {
 		t.Fatalf("per-message records diverged:\nengine    %v\nreference %v", optRec, refRec)
 	}
@@ -91,6 +94,35 @@ func runBoth(t *testing.T, tmpls []*Message, tr *Trace, opts OpenLoopOpts) (*Ope
 		t.Fatalf("engine nondeterministic: %+v vs %+v", rerun, opt)
 	}
 	return opt, optRec
+}
+
+// checkLatencyFloor asserts the analytic latency floor on every
+// delivered message of a PerMessage record set: a message of f flits on
+// an h-hop route needs done − arrival ≥ h + f − 1 steps under
+// CutThrough (the head flit crosses one hop per step and the tail
+// follows f − 1 steps behind) and ≥ h·f under StoreAndForward (each hop
+// buffers the whole message before forwarding it). An empty route
+// delivers at its arrival step. The bound is tight: an uncontended
+// message meets it exactly.
+func checkLatencyFloor(t *testing.T, model string, tmpls []*Message, tr *Trace, mode Mode, rec map[int32]msgRec) {
+	t.Helper()
+	for msg, r := range rec {
+		if !r.delivered {
+			continue
+		}
+		m := tmpls[tr.Arrivals[msg].Tmpl]
+		h, f := len(m.Route), m.Flits
+		floor := h + f - 1
+		if mode == StoreAndForward {
+			floor = h * f
+		}
+		if h == 0 {
+			floor = 0
+		}
+		if lat := r.done - r.arr; lat < floor || h == 0 && lat != 0 {
+			t.Fatalf("%s %v: msg %d (%d hops, %d flits) took %d steps, floor %d", model, mode, msg, h, f, lat, floor)
+		}
+	}
 }
 
 func permTemplates(t *testing.T, n, flits int, seed int64) []*Message {
@@ -196,8 +228,8 @@ func TestOpenLoopMatchesReference(t *testing.T) {
 // order, no free lists), later arrivals then reuse slots (the
 // slot-table sort takes over), and a permanent link kill lands mid-run
 // (the per-flit dead check switches on), after which the last arrival
-// leaves recycling pointless again. Serial and sharded runs must match
-// the naive reference bit-identically, and a pooled engine that just
+// leaves recycling pointless again. The run must match the naive
+// reference bit-identically, and a pooled engine that just
 // ran a closed-loop burst must not leak arena state into the run.
 func TestOpenLoopFastPathSwitchOver(t *testing.T) {
 	tmpls := permTemplates(t, 3, 6, 17)
@@ -261,9 +293,6 @@ func TestOpenLoopFastPathSwitchOver(t *testing.T) {
 		}
 		if slots := len(e.olSlotTmpl); slots >= opt.Injected {
 			t.Fatalf("%v: %d slots for %d arrivals; no slot was reused", mode, slots, opt.Injected)
-		}
-		for _, shards := range []int{2, 3} {
-			runShardedBoth(t, tmpls, tr, opts, shards)
 		}
 	}
 }

@@ -14,9 +14,12 @@ import (
 // probe call sites removed — the reference the probe-off overhead
 // contract is stated against. baselineLoop is a verbatim copy of
 // openLoop minus every e.probe site; the per-flit phases it calls
-// (olTransfer, olArrive) have no probe sites and are shared, as are the
-// cold helpers. If the step loop changes, this copy must be updated to
-// match (TestProbeOffEquivalentToBaseline catches semantic drift).
+// (olTransfer, olArrive) are shared, as are the cold helpers. olTransfer
+// has no probe site; olArrive has one nil check, in the branch a flit
+// takes when it reaches its destination, so the shared check is paid
+// once per delivered flit, not per moved flit. If the step loop
+// changes, this copy must be updated to match
+// (TestProbeOffEquivalentToBaseline catches semantic drift).
 func (e *engine) simulateBaseline(msgs []*Message, mode Mode) (*Result, error) {
 	olr, err := e.baselineLoop(msgs, nil, OpenLoopOpts{Mode: mode}, closedRun{burst: true})
 	if err != nil {
@@ -66,7 +69,7 @@ func (e *engine) baselineLoop(tmpls []*Message, src ArrivalSource, opts OpenLoop
 	step := 0
 	lastProgress := 0
 	if cl.burst {
-		e.olBurst(&r, e.olEnqueue)
+		e.olBurst(&r)
 	}
 	for {
 		if r.live == 0 {
@@ -113,8 +116,8 @@ func (e *engine) baselineLoop(tmpls []*Message, src ArrivalSource, opts OpenLoop
 		if graceful && step > opts.StepLimit {
 			olr.TimedOut = true
 			// Sweep in ascending message id order — the canonical
-			// failure order shared with the sharded engine and the
-			// reference model (slot order is arrival-history-dependent).
+			// failure order shared with the reference model (slot order
+			// is arrival-history-dependent).
 			sweep := e.kill[:0]
 			for s := range e.olSlotMsg {
 				if e.olSlotMsg[s] >= 0 {
@@ -125,7 +128,7 @@ func (e *engine) baselineLoop(tmpls []*Message, src ArrivalSource, opts OpenLoop
 				return cmp.Compare(e.olSlotMsg[a], e.olSlotMsg[b])
 			})
 			for _, s := range sweep {
-				e.olFailSlot(&r, s, opts.StepLimit, -1, nil)
+				e.olFailSlot(&r, s, opts.StepLimit, -1)
 				e.olSlotDead[s] = false
 				e.olSlotMsg[s] = -1
 			}
@@ -160,7 +163,6 @@ func (e *engine) baselineLoop(tmpls []*Message, src ArrivalSource, opts OpenLoop
 		// nor which of two down links gets the blame. The kill set is
 		// itself loop-order-invariant: a down link moves nothing, so its
 		// queue's sendable set cannot change during the transfer phase.
-		// The sharded engine's kill barrier replays the same order.
 		// Killed slots stay marked dead through the arrival phase (their
 		// flits moved this step must not feed downstream hops) and are
 		// recycled at the end of the step.
@@ -168,7 +170,7 @@ func (e *engine) baselineLoop(tmpls []*Message, src ArrivalSource, opts OpenLoop
 		if len(down) > 0 {
 			slices.Sort(down)
 			for _, l := range down {
-				e.olKillQueued(&r, l, step, nil)
+				e.olKillQueued(&r, l, step)
 			}
 			killed = len(e.olKilled) > 0
 		}

@@ -62,12 +62,10 @@ func (s LinkQueueStat) Mean() float64 {
 //
 // A Recorder accumulates across runs until discarded; it is not safe
 // for concurrent use. A probe is attached per run (OpenLoopOpts.Probe,
-// FaultOpts.Probe, or a *Probed entry point), and a serial run is
-// single-goroutine. The sharded engines fit that contract by merging
-// their workers' events at each step barrier:
-// netsim.SimulateShardedProbed and netsim.SimulateOpenLoopSharded
-// deliver one canonically ordered stream to a single Recorder, so
-// recording never crosses a goroutine.
+// FaultOpts.Probe, or a *Probed entry point), and every netsim run
+// calls its probe from the one goroutine that runs the step loop, so
+// recording never crosses a goroutine. Runs on different goroutines
+// each need their own Recorder.
 type Recorder struct {
 	// FlitLatency observes the arrival step of every flit at its
 	// destination; MsgLatency the completion step of every delivered

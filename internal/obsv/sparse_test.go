@@ -339,7 +339,7 @@ func hotTraffic(n int, seed int64, msgs, flits int) ([]*netsim.Message, *netsim.
 // TestRecorderSparseMatchesDense is the golden-model test of the
 // sparse Recorder and the grow-on-demand Histogram: fed the same engine
 // streams as the dense reference above, every reported value agrees —
-// serial and sharded, faulty and wormhole runs, one Recorder across
+// clean, faulty and wormhole runs, one Recorder across
 // runs over different link sets with Reset and per-link queries in
 // between, per-link utilization on, and bucket limits small enough to
 // overflow.
@@ -348,16 +348,10 @@ func TestRecorderSparseMatchesDense(t *testing.T) {
 	tiny := RecorderOpts{LinkQueues: true, QueueBuckets: 2, LatencyBuckets: 8}
 	tmpls, tr := hotTraffic(5, 1, 240, 3)
 
-	openLoop := func(p recPair, opts netsim.OpenLoopOpts, shards int) *netsim.OpenLoopResult {
+	openLoop := func(p recPair, opts netsim.OpenLoopOpts) *netsim.OpenLoopResult {
 		t.Helper()
 		opts.Mode, opts.Probe, opts.Sink = netsim.CutThrough, p.probe(), p.sink()
-		var res *netsim.OpenLoopResult
-		var err error
-		if shards <= 1 {
-			res, err = netsim.SimulateOpenLoop(tmpls, tr.Source(), opts)
-		} else {
-			res, err = netsim.SimulateOpenLoopSharded(tmpls, tr.Source(), opts, shards)
-		}
+		res, err := netsim.SimulateOpenLoop(tmpls, tr.Source(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,25 +359,23 @@ func TestRecorderSparseMatchesDense(t *testing.T) {
 	}
 
 	for _, opts := range []RecorderOpts{full, tiny} {
-		for _, shards := range []int{1, 2, 3} {
-			label := fmt.Sprintf("%+v/shards=%d", opts, shards)
-			p := newRecPair(opts)
-			openLoop(p, netsim.OpenLoopOpts{}, shards)
-			if idle := p.check(t, label); idle == 0 {
-				t.Errorf("%s: no observed link with an always-empty queue; the lazy N goes unchecked", label)
-			}
-
-			pf := newRecPair(opts)
-			res := openLoop(pf, netsim.OpenLoopOpts{Faults: faults.Bernoulli(hypercube.New(5).DirectedEdges(), 0.05, 7)}, shards)
-			if res.FailedMsgs == 0 {
-				t.Fatalf("%s: faults did not bite", label)
-			}
-			pf.check(t, label+"/faulty")
+		label := fmt.Sprintf("%+v", opts)
+		p := newRecPair(opts)
+		openLoop(p, netsim.OpenLoopOpts{})
+		if idle := p.check(t, label); idle == 0 {
+			t.Errorf("%s: no observed link with an always-empty queue; the lazy N goes unchecked", label)
 		}
+
+		pf := newRecPair(opts)
+		res := openLoop(pf, netsim.OpenLoopOpts{Faults: faults.Bernoulli(hypercube.New(5).DirectedEdges(), 0.05, 7)})
+		if res.FailedMsgs == 0 {
+			t.Fatalf("%s: faults did not bite", label)
+		}
+		pf.check(t, label+"/faulty")
 	}
 
 	p := newRecPair(tiny)
-	openLoop(p, netsim.OpenLoopOpts{}, 1)
+	openLoop(p, netsim.OpenLoopOpts{})
 	if p.rec.QueueDepth.Over == 0 || p.rec.FlitLatency.Over == 0 || p.rec.MsgLatency.Over == 0 {
 		t.Errorf("tiny bucket limits did not overflow: queue %d flit %d msg %d",
 			p.rec.QueueDepth.Over, p.rec.FlitLatency.Over, p.rec.MsgLatency.Over)

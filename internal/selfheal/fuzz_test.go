@@ -69,9 +69,8 @@ func decodeHealSchedule(data []byte, numLinks int) *faults.Schedule {
 // contract on the Theorem 1 width-3 embedding of Q_4, for random
 // arrival traces × fault schedules × policy configurations:
 //
-//   - shard invariance: the Report, the per-transfer records, and the
-//     latency multisets are identical at shard counts {1, 2, 3, 8};
-//   - replay: running the same configuration twice is bit-identical;
+//   - replay: running the same configuration twice gives the same
+//     Report, per-transfer records and latency multiset;
 //   - conservation: the engine moves or drops exactly the injected
 //     flit-hops, and on drained (non-timed-out) runs every transfer is
 //     delivered or abandoned and the injected piece count decomposes
@@ -123,9 +122,8 @@ func FuzzSelfHealOpenLoop(f *testing.F) {
 			perT map[int32]transferRec
 			sink []int
 		}
-		do := func(shards int) (*run, error) {
+		do := func() (*run, error) {
 			c := cfg
-			c.Shards = shards
 			perT := map[int32]transferRec{}
 			sink := &sliceSink{}
 			c.PerTransfer = recordTransfers(perT)
@@ -138,30 +136,25 @@ func FuzzSelfHealOpenLoop(f *testing.F) {
 			return &run{rep: rep, perT: perT, sink: sink.vals}, nil
 		}
 
-		want, wantErr := do(1)
-		for _, shards := range []int{1, 2, 3, 8} {
-			got, err := do(shards)
-			if (wantErr == nil) != (err == nil) {
-				t.Fatalf("shards=%d: error mismatch: %v vs %v", shards, err, wantErr)
-			}
-			if wantErr != nil {
-				if err.Error() != wantErr.Error() {
-					t.Fatalf("shards=%d: error text %q vs %q", shards, err, wantErr)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(got.rep, want.rep) {
-				t.Fatalf("shards=%d: report diverged:\n%+v\nvs shards=1\n%+v", shards, *got.rep, *want.rep)
-			}
-			if !reflect.DeepEqual(got.perT, want.perT) {
-				t.Fatalf("shards=%d: per-transfer records diverged", shards)
-			}
-			if !reflect.DeepEqual(got.sink, want.sink) {
-				t.Fatalf("shards=%d: latency multisets diverged: %v vs %v", shards, got.sink, want.sink)
-			}
+		want, wantErr := do()
+		got, err := do()
+		if (wantErr == nil) != (err == nil) {
+			t.Fatalf("replay: error mismatch: %v vs %v", err, wantErr)
 		}
 		if wantErr != nil {
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("replay: error text %q vs %q", err, wantErr)
+			}
 			return
+		}
+		if !reflect.DeepEqual(got.rep, want.rep) {
+			t.Fatalf("replay: report diverged:\n%+v\nvs\n%+v", *got.rep, *want.rep)
+		}
+		if !reflect.DeepEqual(got.perT, want.perT) {
+			t.Fatal("replay: per-transfer records diverged")
+		}
+		if !reflect.DeepEqual(got.sink, want.sink) {
+			t.Fatalf("replay: latency multisets diverged: %v vs %v", got.sink, want.sink)
 		}
 
 		rep := want.rep

@@ -7,7 +7,7 @@
 //
 //   - The session registers as the run's netsim.FaultListener, so the
 //     engine reports every link death and the message ids it doomed,
-//     in an order that is canonical across shard counts.
+//     in a canonical order (see netsim.FaultListener).
 //   - The session is also the run's netsim.ArrivalSource. A failed
 //     piece is re-enqueued as a new arrival at a backoff-chosen later
 //     step on a surviving sibling path (cycling path order exactly
@@ -23,10 +23,8 @@
 //     pieces land, k-of-n instead of retry.
 //
 // Determinism: every session decision is driven by callbacks the
-// engine fires in the same canonical order at every shard count, and
-// the jitter hash needs no shared rng state, so a (trace, config,
-// shards) triple replays bit-identically and the aggregate Report is
-// identical across shard counts.
+// engine fires in a canonical order, and the jitter hash needs no
+// shared rng state, so a (trace, config) pair replays bit-identically.
 package selfheal
 
 import (
@@ -63,7 +61,7 @@ func (s Strategy) String() string {
 
 // Backoff maps a retry attempt to a delay in steps. Implementations
 // must be deterministic: the self-healing session calls Delay from
-// engine callbacks whose order is canonical across shard counts, and
+// engine callbacks whose order is canonical, and
 // replayability of whole runs reduces to replayability of Delay.
 type Backoff interface {
 	// Delay returns the number of steps to wait before injecting retry
@@ -145,10 +143,9 @@ type Config struct {
 	Backoff Backoff
 	// Faults is the link fault schedule (nil for a clean fabric).
 	Faults netsim.LinkFaults
-	// StepLimit and Shards pass through to the open-loop engine: the
-	// graceful timeout and the worker partition width.
+	// StepLimit passes through to the open-loop engine as its graceful
+	// timeout.
 	StepLimit int
-	Shards    int
 	// MeasureAfter is the warm-up cutoff for the latency sinks: only
 	// transfers arriving at or after it are observed.
 	MeasureAfter int
@@ -294,8 +291,7 @@ type session struct {
 // trace starts one transfer on the path bundle of guest edge
 // edges[a.Tmpl] of the embedding (edges nil means a.Tmpl indexes
 // e.Paths directly). Arrivals must have nondecreasing, nonnegative
-// steps. The aggregate Report is identical for every Config.Shards
-// value.
+// steps.
 func Send(e *core.Embedding, edges []int, arrivals *netsim.Trace, cfg Config) (*Report, error) {
 	if cfg.Flits < 1 {
 		cfg.Flits = 1
@@ -361,7 +357,7 @@ func Send(e *core.Embedding, edges []int, arrivals *netsim.Trace, cfg Config) (*
 		Probe:      cfg.Probe,
 		Listener:   s,
 	}
-	olr, err := netsim.SimulateOpenLoopSharded(tmpls, s, opts, cfg.Shards)
+	olr, err := netsim.SimulateOpenLoop(tmpls, s, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -290,11 +290,11 @@ func TestSelfHealIDA(t *testing.T) {
 	}
 }
 
-// TestSelfHealShardInvariance is the tentpole determinism claim at the
-// session level: the full Report, the PerTransfer records, and the
-// latency multisets are identical at every shard count, for both
-// strategies, under a coupled-Bernoulli fault draw.
-func TestSelfHealShardInvariance(t *testing.T) {
+// TestSelfHealReplay is the determinism claim at the session level: a
+// replay of the same (trace, config) pair gives the same Report,
+// PerTransfer records and latency multiset, for both strategies, under
+// a coupled-Bernoulli fault draw.
+func TestSelfHealReplay(t *testing.T) {
 	e := theorem1(t, 4)
 	sched := faults.Bernoulli(e.Host.DirectedEdges(), 0.08, 3)
 	trace := sweepTrace(64, len(e.Paths), 4)
@@ -302,10 +302,10 @@ func TestSelfHealShardInvariance(t *testing.T) {
 		var baseRep *Report
 		var basePerT map[int32]transferRec
 		var baseSink []int
-		for _, shards := range []int{1, 2, 3, 8} {
+		for rep := range 2 {
 			perT := map[int32]transferRec{}
 			sink := &sliceSink{}
-			rep, err := Send(e, nil, trace, Config{
+			got, err := Send(e, nil, trace, Config{
 				Mode:        netsim.StoreAndForward,
 				Flits:       3,
 				Strategy:    strat,
@@ -314,26 +314,25 @@ func TestSelfHealShardInvariance(t *testing.T) {
 				Backoff:     ExpBackoff{Base: 1, Jitter: 0.4, Seed: 9},
 				Faults:      sched,
 				StepLimit:   4000,
-				Shards:      shards,
 				Sink:        sink,
 				PerTransfer: recordTransfers(perT),
 			})
 			if err != nil {
-				t.Fatalf("%v/shards=%d: %v", strat, shards, err)
+				t.Fatalf("%v/rep=%d: %v", strat, rep, err)
 			}
 			slices.Sort(sink.vals)
 			if baseRep == nil {
-				baseRep, basePerT, baseSink = rep, perT, sink.vals
+				baseRep, basePerT, baseSink = got, perT, sink.vals
 				continue
 			}
-			if !reflect.DeepEqual(rep, baseRep) {
-				t.Fatalf("%v/shards=%d: report diverged:\n%+v\nvs shards=1\n%+v", strat, shards, *rep, *baseRep)
+			if !reflect.DeepEqual(got, baseRep) {
+				t.Fatalf("%v: replayed report diverged:\n%+v\nvs\n%+v", strat, *got, *baseRep)
 			}
 			if !reflect.DeepEqual(perT, basePerT) {
-				t.Fatalf("%v/shards=%d: per-transfer records diverged", strat, shards)
+				t.Fatalf("%v: replayed per-transfer records diverged", strat)
 			}
 			if !reflect.DeepEqual(sink.vals, baseSink) {
-				t.Fatalf("%v/shards=%d: latency multiset diverged", strat, shards)
+				t.Fatalf("%v: replayed latency multiset diverged", strat)
 			}
 		}
 		if baseRep.Transfers != 64 {

@@ -37,22 +37,16 @@
 //   - SimulateProbed + NewRecorder/NewTraceWriter: the same simulations
 //     observed through a probe — latency/queue-depth distributions and
 //     JSONL event traces; attaching a probe never changes results.
-//   - SimulateSharded / SimulateFaultsSharded: the same simulations run
-//     by a partitioned engine across shard-worker goroutines —
-//     bit-identical results, built for million-node (Q_20–Q_22) traffic.
 //   - SimulateOpenLoop + PoissonArrivals/MMPPArrivals (and the
 //     heavy-tailed ParetoArrivals/LogNormalArrivals): open-loop
 //     steady-state runs — messages arrive over time from a seeded
 //     stochastic process, a leap-step clock skips quiescent gaps, and
 //     slot recycling bounds memory by the in-flight window — for
 //     latency-vs-offered-load curves and saturation throughput.
-//   - SimulateOpenLoopSharded: the open-loop simulator on the
-//     partitioned engine — whole-cube saturation sweeps at
-//     million-node scale, bit-identical to SimulateOpenLoop.
 //   - SelfHealSend: the self-healing open-loop transport — live
 //     failure notifications, in-flight rerouting onto surviving
 //     disjoint paths with deterministic backoff and deadlines, and
-//     graceful-degradation accounting; shard-invariant by contract.
+//     graceful-degradation accounting; replayable by contract.
 //
 // All metrics (load, dilation, width, congestion, packet cost) are
 // recomputed by independent verifiers on the returned Embedding values;
@@ -355,8 +349,8 @@ func BernoulliFaults(links int, p float64, seed int64) *FaultSchedule {
 // guest edge, failed pieces are rerouted in flight onto surviving
 // sibling paths under the configured backoff/deadline policy (or
 // dispersed k-of-n up front under IDASelfHeal), and new transfers
-// steer around links the engine has reported dead. The Report is
-// identical at every SelfHealConfig.Shards value.
+// steer around links the engine has reported dead. A (trace, config)
+// pair replays to the same Report.
 func SelfHealSend(e *Embedding, edges []int, arrivals *ArrivalTrace, cfg SelfHealConfig) (*SelfHealReport, error) {
 	return selfheal.Send(e, edges, arrivals, cfg)
 }
@@ -420,22 +414,6 @@ func SimulateProbed(msgs []*Message, mode netsim.Mode, p Probe) (*SimResult, err
 	return netsim.SimulateProbed(msgs, mode, p)
 }
 
-// SimulateSharded runs Simulate partitioned across the given number of
-// shard-worker goroutines, each owning a contiguous range of the dense
-// link space. Results are bit-identical to Simulate for every shard
-// count; shards ≤ 1 is exactly the single-shard engine.
-func SimulateSharded(msgs []*Message, mode netsim.Mode, shards int) (*SimResult, error) {
-	return netsim.SimulateSharded(msgs, mode, shards)
-}
-
-// SimulateFaultsSharded is SimulateFaults on the partitioned engine:
-// each shard evaluates its own links' fault state, and the results —
-// outcomes, blame, timed-out sets — are bit-identical to
-// SimulateFaults for every shard count.
-func SimulateFaultsSharded(msgs []*Message, mode netsim.Mode, opts FaultOpts, shards int) (*FaultSimResult, error) {
-	return netsim.SimulateFaultsSharded(msgs, mode, opts, shards)
-}
-
 // SimulateOpenLoop runs the open-loop steady-state simulator: messages
 // are instances of route templates injected at the steps an ArrivalTrace
 // (or any arrival source) dictates. Per-step work is proportional to
@@ -444,17 +422,6 @@ func SimulateFaultsSharded(msgs []*Message, mode netsim.Mode, opts FaultOpts, sh
 // bit-identical to Simulate.
 func SimulateOpenLoop(tmpls []*Message, src netsim.ArrivalSource, opts OpenLoopOpts) (*OpenLoopResult, error) {
 	return netsim.SimulateOpenLoop(tmpls, src, opts)
-}
-
-// SimulateOpenLoopSharded runs the open-loop simulator partitioned
-// across the given number of shard-worker goroutines. Arrivals are
-// dispatched to the shard owning their first link, the leap-step clock
-// generalizes to global quiescence (the clock leaps only when no shard
-// holds an in-flight flit), and results, latency sinks, and probe
-// streams are bit-identical to SimulateOpenLoop for every shard count;
-// shards ≤ 1 is exactly the single-shard engine.
-func SimulateOpenLoopSharded(tmpls []*Message, src netsim.ArrivalSource, opts OpenLoopOpts, shards int) (*OpenLoopResult, error) {
-	return netsim.SimulateOpenLoopSharded(tmpls, src, opts, shards)
 }
 
 // PoissonArrivals draws a deterministic seeded Poisson arrival trace:

@@ -90,28 +90,6 @@ func TestSimulationJourney(t *testing.T) {
 	if ct.Steps >= sf.Steps {
 		t.Errorf("cut-through %d not faster than store-and-forward %d", ct.Steps, sf.Steps)
 	}
-	// The partitioned engine is the same simulation: identical results
-	// at any shard count, through the facade too.
-	sharded, err := SimulateSharded([]*Message{
-		{Route: []int{1, 2, 3}, Flits: 8},
-		{Route: []int{3, 4}, Flits: 8},
-	}, CutThrough, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *sharded != *ct {
-		t.Errorf("sharded result %+v != single-shard %+v", sharded, ct)
-	}
-	fr, err := SimulateFaultsSharded([]*Message{
-		{Route: []int{1, 2, 3}, Flits: 8},
-		{Route: []int{3, 4}, Flits: 8},
-	}, CutThrough, FaultOpts{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Result != *ct {
-		t.Errorf("fault-free sharded faultsim %+v != %+v", fr.Result, *ct)
-	}
 }
 
 func TestDecompositionJourney(t *testing.T) {
@@ -312,10 +290,10 @@ func TestOpenLoopJourney(t *testing.T) {
 	}
 }
 
-// The sharded open-loop journey: the same pipeline through the
-// partitioned engine, with heavy-tailed arrival processes, must be
-// bit-identical to the single-shard run.
-func TestOpenLoopShardedJourney(t *testing.T) {
+// The heavy-tailed open-loop journey: the same pipeline under Pareto
+// and log-normal arrivals delivers every message, leaps over the long
+// quiescent gaps, and replays to the same result and latency summary.
+func TestOpenLoopHeavyTailJourney(t *testing.T) {
 	emb, err := CycleWidthEmbedding(6)
 	if err != nil {
 		t.Fatal(err)
@@ -333,9 +311,9 @@ func TestOpenLoopShardedJourney(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, trace := range map[string]*ArrivalTrace{"pareto": pareto, "lognormal": lognorm} {
-		single := NewRecorder()
+		first := NewRecorder()
 		want, err := SimulateOpenLoop(tmpls, trace.Source(), OpenLoopOpts{
-			Mode: CutThrough, Sink: single.MsgLatency,
+			Mode: CutThrough, Sink: first.MsgLatency,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -346,17 +324,17 @@ func TestOpenLoopShardedJourney(t *testing.T) {
 		if want.SkippedSteps == 0 {
 			t.Errorf("%s: heavy-tailed trace skipped no steps", name)
 		}
-		sharded := NewRecorder()
-		got, err := SimulateOpenLoopSharded(tmpls, trace.Source(), OpenLoopOpts{
-			Mode: CutThrough, Sink: sharded.MsgLatency,
-		}, 4)
+		replay := NewRecorder()
+		got, err := SimulateOpenLoop(tmpls, trace.Source(), OpenLoopOpts{
+			Mode: CutThrough, Sink: replay.MsgLatency,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: sharded %+v != single-shard %+v", name, got, want)
+			t.Fatalf("%s: replay %+v != first run %+v", name, got, want)
 		}
-		gs, ws := sharded.MsgLatency.Summarize(), single.MsgLatency.Summarize()
+		gs, ws := replay.MsgLatency.Summarize(), first.MsgLatency.Summarize()
 		if !reflect.DeepEqual(gs, ws) {
 			t.Fatalf("%s: latency summary %+v != %+v", name, gs, ws)
 		}
@@ -395,16 +373,14 @@ func TestSelfHealingJourney(t *testing.T) {
 	if rep.DeliveredFraction < 0.95 {
 		t.Fatalf("self-healing delivered only %.3f: %+v", rep.DeliveredFraction, rep)
 	}
-	// The contract that makes the numbers trustworthy: the Report is
-	// identical at any shard count.
-	sharded := cfg
-	sharded.Shards = 4
-	rep4, err := SelfHealSend(e, nil, tr, sharded)
+	// The contract that makes the numbers trustworthy: a replay of the
+	// same trace and config gives the same Report.
+	again, err := SelfHealSend(e, nil, tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rep4, rep) {
-		t.Fatalf("report diverged at 4 shards:\n%+v\nvs\n%+v", *rep4, *rep)
+	if !reflect.DeepEqual(again, rep) {
+		t.Fatalf("report diverged on replay:\n%+v\nvs\n%+v", *again, *rep)
 	}
 	// IDA dispersal is the zero-retry alternative over the same bundle
 	// templates (PathTemplates exposes the layout).
